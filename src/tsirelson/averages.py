@@ -673,9 +673,9 @@ def interval_norm_table(space: SpaceSpec, z: SparseVector):
         and coords[0] >= m
     )
     if not saturated:
-        eng = _Engine(space, z)
-        eng.fill()
-        return eng.coords, lambda a, b: eng.D[(a, b)]
+        engine = _Engine(space, z)
+        engine.fill()
+        return engine.coords, engine.value
     theta = space.theta_for_index(1)
     values = [abs(v) for v in z.values]
     prefix = [0]

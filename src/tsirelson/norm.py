@@ -17,43 +17,65 @@ reductions make this computable on the support alone:
   explores n until the tail sup of the weights times the segment's l1 norm
   is dominated and records that bound as a certificate.
 
-The DP state is a support-index interval; admissible partitions of an
-interval are maximized layer by layer following the recursive structure of
-the families (piece-count budgets for A_n, the S_1[S_{n-1}] recursion for
-S_n, and flattening for compositions).  ``brute_norm`` is an independent
-oracle that enumerates tree functionals over the support directly.
+The DP state is a support-index interval [i, j).  ``D[i][j]`` is the norm of
+x restricted to it, filled with j ascending and i descending, so that every
+proper sub-interval is final when [i, j) is reached.
+
+Chains.  A family is expanded into a chain of levels: compositions are
+flattened, ``S_0`` is dropped and ``S_n`` becomes ``S_1`` over ``S_{n-1}``.
+A level partitions an interval into at most ``budget`` groups (n for
+``A_n``, the first coordinate for ``S_1``), each group partitioned by the
+inner chain; the innermost pieces are worth their ``D`` value.  With
+``C_k(a)`` the best sum over partitions of [a, j) into exactly k inner-chain
+groups, a level's value on [i, j) is the first maximum over k = 1, 2, ...
+of ``C_k(i)``, where ``C_1(i)`` is the inner chain's own value on [i, j) and
+``C_k(a) = max_e A[a][e] + C_{k-1}(e)`` (first maximizing split e).  When
+the all-singletons partition is admissible it is optimal (every piece is
+worth at most its l1 norm), and the level's value is the l1 norm.
+
+Tables.  Only a chain that is the inner chain of some level keeps its value
+table ``A[i][j]`` (with a decision code).  The values ``C_k(a)`` exist for
+the current right end j only, computed on demand, row by row; their split
+points are kept in compact integer arrays for the witness.  Chains are
+created when the weight loop first reaches their level, and a new table is
+backfilled over the intervals already done.
+
+Exclusive and full values.  Only one candidate of [i, j) reads ``D[i][j]``:
+the single piece, through k = 1 at every level of the chain.  The weight
+loop therefore uses each head's *exclusive* value (that candidate left out),
+and the *full* table values at [i, j) are finalized right after ``D[i][j]``.
+
+Arithmetic.  Float spaces fill in floats, in the order of addition above.
+Exact spaces fill in integers over one scale ``G = L * Q**(m-1)``: L is the
+common denominator of |x|, and Q that of theta_n over the weight indices
+that can be explored (those with ``theta_tail_sup(n) > 1/m``, since an
+explored n needs ``tail * l1 > best >= l1 / len``).  A tree over an interval
+of length len has depth at most len - 1 (a node has at least two pieces),
+so every value is an integer multiple of 1/G and a node's value
+``p * S // q`` is an exact division, which is checked.  Values become
+``Fraction`` only at the interface; the cutoff certificate is computed in
+the space's own arithmetic.
+
+``brute_norm`` is an independent oracle that enumerates tree functionals
+over the support directly.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from . import families
-from .errors import EmptyVector, SupportTooLarge
+from .errors import EmptyVector, IrrationalInRationalMode, SupportTooLarge
 from .functionals import Leaf, Node, TreeFunctional
 from .spaces import A_TYPE, SINGLE, SpaceSpec
 from .vectors import SparseVector
 
 Interval = Tuple[int, int]
-
-
-def flatten_pieces(pieces) -> List[Interval]:
-    """Expand the lazy piece representation into interval pairs."""
-    out: List[Interval] = []
-    stack = [pieces]
-    while stack:
-        node = stack.pop()
-        tag = node[0]
-        if tag == "one":
-            out.append((node[1], node[2]))
-        elif tag == "sing":
-            out.extend((t, t + 1) for t in range(node[1], node[2]))
-        else:
-            stack.append(node[2])
-            stack.append(node[1])
-    return out
 
 
 @dataclass(frozen=True)
@@ -80,6 +102,148 @@ class AdmissibleSumResult:
     pieces: Tuple[Tuple[int, ...], ...]
 
 
+# decisions of D[i][j] that are not nodes
+_LEAF = 0
+_SUFFIX = 1
+
+
+def _normalize(stack: tuple) -> tuple:
+    """Flatten a leading composition and drop a leading S_0 until the head
+    is A_n or S_n with n >= 1 (or the stack is empty)."""
+    while stack:
+        head = stack[0]
+        if isinstance(head, families.Compose):
+            stack = (head.outer, head.inner) + stack[1:]
+        elif isinstance(head, families.Sn) and head.n == 0:
+            stack = stack[1:]
+        else:
+            break
+    return stack
+
+
+class _Level:
+    """One level of a family chain over one support.
+
+    ``budgets[i]`` bounds the groups of a partition of [i, j); the
+    all-singletons partition of [i, j) is admissible iff j <= fast[i].
+    ``F``/``FT`` (rows/columns) and ``code`` exist once the level is the
+    inner chain of another: code 0 is all singletons, 1 the inner chain on
+    the whole interval, k >= 2 a split into k groups.  ``splits[j][a]``
+    holds the first maximizing split of C_k(a) at right end j, for k >= 2.
+    The base level (empty stack) has D as its table.
+    """
+
+    __slots__ = ("budgets", "inner", "fast", "F", "FT", "code", "splits", "live", "queries")
+
+    def __init__(self, budgets, inner, fast):
+        self.budgets = budgets
+        self.inner = inner
+        self.fast = fast
+        self.F = self.FT = self.code = self.splits = None
+        self.live = None
+        self.queries = None
+
+
+class _Column:
+    """The values C_k(a) of one inner chain for one right end j.
+
+    C[1] is the chain's table column j; C[k][a] for k >= 2 is filled on
+    demand up to kdone[a].  Rows [low_row, j) are filled at least to
+    min(top_k, j - a).  ``best(i, K)`` is the first maximum of C_k(i) over
+    2 <= k <= K; the running maximum of the last row asked is kept, so
+    that levels sharing this inner chain share it.
+    """
+
+    __slots__ = (
+        "level", "j", "C", "kdone", "top_k", "low_row", "splits", "merge",
+        "typecode", "row", "run",
+    )
+
+    def __init__(self, level: _Level, j: int, typecode: str):
+        self.level = level
+        self.j = j
+        self.C = [None, level.FT[j]]
+        self.kdone = [1] * j
+        self.top_k = 1
+        self.low_row = j
+        self.splits = [None] * j
+        self.typecode = typecode
+        self.row = -1
+        self.run = None
+        # a column recomputed after its first pass keeps the longer split
+        # arrays; equal k give equal splits, so either is right
+        self.merge = level.splits[j] is not None
+        if not self.merge:
+            level.splits[j] = self.splits
+
+    def retire(self):
+        if not self.merge:
+            return
+        kept = self.level.splits[self.j]
+        for a, new in enumerate(self.splits):
+            if new is not None and (kept[a] is None or len(new) > len(kept[a])):
+                kept[a] = new
+
+    def fill_rows(self, start: int, stop: int, need: int):
+        """Fill C_k(e) for k <= min(need, j - e) on rows e = start down to
+        stop + 1; each row needs the rows right of it filled to one less."""
+        j = self.j
+        C = self.C
+        while len(C) <= need:
+            C.append([None] * j)
+        kdone = self.kdone
+        F = self.level.F
+        all_splits = self.splits
+        for e in range(start, stop, -1):
+            k_to = j - e if j - e < need else need
+            k_from = kdone[e] + 1
+            if k_from > k_to:
+                continue
+            row = F[e]
+            splits = all_splits[e]
+            if splits is None:
+                splits = all_splits[e] = array(self.typecode)
+            lo = e + 1
+            for k in range(k_from, k_to + 1):
+                hi = j - k + 2
+                cands = list(map(add, row[lo:hi], C[k - 1][lo:hi]))
+                best = max(cands)
+                C[k][e] = best
+                splits.append(lo + cands.index(best))
+            kdone[e] = k_to
+
+    def best(self, i: int, K: int):
+        """(value, k) of the first maximum of C_k(i) over 2 <= k <= K."""
+        need = K - 1
+        if need >= 2:
+            # rows right of i must hold C_k for k <= need
+            if need > self.top_k:
+                # rows at or right of both low_row and j - top_k are complete
+                start = min(self.j - 2, max(self.low_row, self.j - self.top_k) - 1)
+                self.top_k = need
+                self.fill_rows(start, i, need)
+                self.low_row = i + 1
+            elif i + 1 < self.low_row:
+                self.fill_rows(self.low_row - 1, i, self.top_k)
+                self.low_row = i + 1
+        if self.kdone[i] < K:
+            self.fill_rows(i, i - 1, K)
+        if self.row != i:
+            self.row = i
+            self.run = [None, None]
+        run = self.run
+        if len(run) <= K:
+            C = self.C
+            k = len(run)
+            top = run[-1]
+            for k in range(k, K + 1):
+                c = C[k][i]
+                if top is None or c > top[0]:
+                    top = (c, k)
+                run.append(top)
+        return run[K]
+
+
 class _Engine:
     """Interval DP over the support of one vector in one space."""
 
@@ -91,180 +255,343 @@ class _Engine:
         self.values = x.values
         self.m = len(self.coords)
         self.abs_values = tuple(abs(v) for v in self.values)
-        prefix = [0 if space.exact else 0.0]
-        for v in self.abs_values:
-            prefix.append(prefix[-1] + v)
-        self.prefix = prefix
-        self.D: Dict[Interval, object] = {}
-        self.decisions: Dict[Interval, tuple] = {}
-        self._adm_memo: Dict[tuple, Optional[tuple]] = {}
-        self._count_memo: Dict[tuple, Optional[tuple]] = {}
-        self._stack_family: Dict[tuple, families.FamilyExpr] = {}
-        self._in_progress: Optional[Interval] = None
         self.max_n_explored = 0
         self.cutoff_bound = None
 
-    # -- basics ------------------------------------------------------------
+    # -- set-up --------------------------------------------------------------
 
-    def ell1(self, i: int, j: int):
-        return self.prefix[j] - self.prefix[i]
+    def _setup(self):
+        """Scale, prefix sums, the base level and the weight caches."""
+        space, m = self.space, self.m
+        self._n_start = 2 if space.kind == A_TYPE else 1
+        self._tails: Dict[int, object] = {}
+        self._thetas: Dict[int, object] = {}
+        # the l1 norm of the whole support, in the space's own arithmetic
+        total = 0 if space.exact else 0.0
+        for v in self.abs_values:
+            total = total + v
+        self._ell1 = total
+        if space.exact:
+            exact = [v if isinstance(v, Fraction) else Fraction(v) for v in self.abs_values]
+            self._scale = math.lcm(*(v.denominator for v in exact)) * self._theta_lcd() ** (m - 1)
+            absv = [v.numerator * (self._scale // v.denominator) for v in exact]
+            prefix = [0]
+        else:
+            absv = list(self.abs_values)
+            prefix = [0.0]
+        for v in absv:
+            prefix.append(prefix[-1] + v)
+        self._absv = absv
+        self._prefix = prefix
+        self._typecode = "H" if m < 1 << 16 else "L"
+        base = self._base = _Level(None, None, None)
+        self._new_table(base)
+        self._levels: Dict[tuple, _Level] = {(): base}
+        self._heads: Dict[int, _Level] = {}
+        self._tables: List[_Level] = []
+        self._decisions = [[None] * (m + 1) for _ in range(m)]
+        self._i, self._j = -1, 0  # the interval in progress
 
-    def _d(self, i: int, j: int):
-        if (i, j) == self._in_progress:
+    def _theta_lcd(self) -> int:
+        """Common denominator of theta_n over the weight indices that can be
+        explored: n with theta_tail_sup(n) > 1/m.  A weight that is not
+        rational stops the scan; the weight loop raises on reaching it."""
+        lcd = 1
+        n = self._n_start
+        while self._tail(n) * self.m > 1:
+            try:
+                theta = self._theta(n)
+            except IrrationalInRationalMode:
+                break
+            lcd = math.lcm(lcd, theta.denominator)
+            n += 1
+        return lcd
+
+    def _tail(self, n: int):
+        tail = self._tails.get(n)
+        if tail is None:
+            tail = self._tails[n] = self.space.theta_tail_sup(n)
+        return tail
+
+    def _theta(self, n: int):
+        theta = self._thetas.get(n)
+        if theta is None:
+            theta = self._thetas[n] = self.space.theta_for_index(n)
+        return theta
+
+    def _new_table(self, level: _Level):
+        size = self.m + 1
+        level.F = [[None] * size for _ in range(size)]
+        level.FT = [[None] * size for _ in range(size)]
+        level.code = [[None] * size for _ in range(size)]
+        level.splits = [None] * size
+
+    # -- chains --------------------------------------------------------------
+
+    def _level(self, stack: tuple) -> _Level:
+        stack = _normalize(stack)
+        level = self._levels.get(stack)
+        if level is None:
+            head, rest = stack[0], stack[1:]
+            if isinstance(head, families.An):
+                budgets = [head.n] * self.m
+                inner = rest
+            else:  # Sn(n), n >= 1
+                budgets = self.coords
+                inner = ((families.Sn(head.n - 1),) + rest) if head.n >= 2 else rest
+            level = _Level(budgets, self._level(inner), self._fast_limits(stack, budgets))
+            self._levels[stack] = level
+        return level
+
+    def _fast_limits(self, stack: tuple, budgets) -> List[int]:
+        """fast[i]: the largest j such that the coordinates of [i, j) form a
+        member of the composed family, within the budget.  Families are
+        hereditary, so fast[i] is nondecreasing in i and one sweep finds it."""
+        fam = stack[-1]
+        for outer in reversed(stack[:-1]):
+            fam = families.Compose(outer, fam)
+        coords, m = self.coords, self.m
+        limits = []
+        end = 0
+        for i in range(m):
+            cap = i + min(budgets[i], m - i)
+            if isinstance(fam, families.An):
+                end = min(cap, i + fam.n)
+            elif isinstance(fam, families.Sn) and fam.n == 1:
+                end = min(cap, i + coords[i])
+            else:
+                end = max(end, i + 1)
+                while end < cap and families.is_member(fam, coords[i : end + 1]):
+                    end += 1
+            limits.append(end)
+        return limits
+
+    def _head(self, n: int) -> _Level:
+        """The chain of weight index n, met for the first time."""
+        head = self._heads[n] = self._level((self.space.family_for_index(n),))
+        if head is not self._base:
+            self._need_table(head.inner)
+        return head
+
+    def _need_table(self, level: _Level):
+        """Give the level a table, backfilled over the intervals done."""
+        if level.F is not None:
+            return
+        self._need_table(level.inner)
+        self._new_table(level)
+        prefix = self._prefix
+        for j in range(1, self._j + 1):
+            column = self._column(level.inner, j)
+            stop = self._i if j == self._j else -1
+            for a in range(j - 1, stop, -1):
+                v, code = self._full(level, a, j, prefix[j] - prefix[a], column)
+                level.F[a][j] = level.FT[j][a] = v
+                level.code[a][j] = code
+            column.retire()
+        self._tables.append(level)
+
+    # -- exactly-k values ----------------------------------------------------
+
+    def _column(self, level: _Level, j: int) -> _Column:
+        """C_k values of the inner chain `level` at right end j; the one of
+        the column in progress is kept, earlier columns are recomputed."""
+        if j != self._j:
+            return _Column(level, j, self._typecode)
+        column = level.live
+        if column is None or column.j != j:
+            column = level.live = _Column(level, j, self._typecode)
+        return column
+
+    def _rest(self, level: _Level, i: int, j: int, column: _Column):
+        """First maximum of C_k(i) over 2 <= k <= budget, with its k."""
+        K = min(level.budgets[i], j - i)
+        return column.best(i, K) if K >= 2 else None
+
+    def _full(self, level: _Level, i: int, j: int, ell, column: _Column):
+        """(value, code) of the level on [i, j), D[i][j] included."""
+        if j <= level.fast[i]:
+            return ell, 0
+        v = level.inner.F[i][j]
+        rest = self._rest(level, i, j, column)
+        if rest is not None and rest[0] > v:
+            return rest
+        return v, 1
+
+    # -- the fill --------------------------------------------------------------
+
+    def _exclusive(self, level: _Level, i: int, j: int, ell):
+        """(value, code) of the level on the interval in progress, without
+        the single piece [i, j) itself; None if nothing is left."""
+        if level is self._base:
             return None
-        return self.D[(i, j)]
-
-    # -- admissible-partition DP -------------------------------------------
-
-    def _composed(self, stack: tuple) -> families.FamilyExpr:
-        if stack not in self._stack_family:
-            fam = stack[-1]
-            for outer in reversed(stack[:-1]):
-                fam = families.Compose(outer, fam)
-            self._stack_family[stack] = fam
-        return self._stack_family[stack]
-
-    def _adm(self, stack: tuple, i: int, j: int) -> Optional[tuple]:
-        """Best (value, pieces) over partitions of [i, j) whose minima are
-        admissible for the family chain `stack`; None if every candidate
-        referenced the in-progress interval."""
-        if not stack:
-            d = self._d(i, j)
-            if d is None:
-                return None
-            return (d, ("one", i, j))
-        poisoned = self._in_progress is not None and i == self._in_progress[0] and j == self._in_progress[1]
-        key = (stack, i, j)
-        if not poisoned and key in self._adm_memo:
-            return self._adm_memo[key]
-        head, rest = stack[0], stack[1:]
-        if isinstance(head, families.Compose):
-            result = self._adm((head.outer, head.inner) + rest, i, j)
-            if not poisoned:
-                self._adm_memo[key] = result
-            return result
-        if isinstance(head, families.Sn) and head.n == 0:
-            result = self._adm(rest, i, j)
-            if not poisoned:
-                self._adm_memo[key] = result
-            return result
-        if isinstance(head, families.An):
-            budget = head.n
-            inner = rest
-        else:  # Sn(m), m >= 1
-            budget = self.coords[i]
-            inner = ((families.Sn(head.n - 1),) + rest) if head.n >= 2 else rest
-        # fast path: the all-singletons partition dominates every other one
-        # (each piece value is at most its l1 norm), so if it is admissible
-        # it is optimal.
-        if j - i <= budget and self._full_set_admissible(stack, i, j):
-            result = (self.ell1(i, j), ("sing", i, j))
-            if not poisoned:
-                self._adm_memo[key] = result
-            return result
-        best: Optional[tuple] = None
-        for k in range(1, min(budget, j - i) + 1):
-            cand = self._count(inner, i, j, k)
-            if cand is not None and (best is None or cand[0] > best[0]):
-                best = cand
-        if not poisoned:
-            self._adm_memo[key] = best
-        return best
-
-    def _full_set_admissible(self, stack: tuple, i: int, j: int) -> bool:
-        """Membership of all coordinates in [i, j) in the composed family,
-        without materializing the slice for the cheap shapes."""
-        fam = self._composed(stack)
-        if isinstance(fam, families.An):
-            return j - i <= fam.n
-        if isinstance(fam, families.Sn) and fam.n == 1:
-            return j - i <= self.coords[i]
-        return families.is_member(fam, self.coords[i:j])
-
-    def _count(self, inner: tuple, a: int, j: int, k: int) -> Optional[tuple]:
-        """Best (value, pieces) over partitions of [a, j) into exactly k
-        inner-chain groups."""
-        if k == 1:
-            return self._adm(inner, a, j)
-        key = (inner, a, j, k)
-        if key in self._count_memo:
-            return self._count_memo[key]
-        best: Optional[tuple] = None
-        for e in range(a + 1, j - k + 2):
-            left = self._adm(inner, a, e)
-            if left is None:
-                continue
-            right = self._count(inner, e, j, k - 1)
-            if right is None:
-                continue
-            value = left[0] + right[0]
-            if best is None or value > best[0]:
-                best = (value, ("cat", left[1], right[1]))
-        self._count_memo[key] = best
-        return best
-
-    # -- the main table ------------------------------------------------------
+        memo = self._exclusives
+        if level in memo:
+            return memo[level]
+        if j <= level.fast[i]:
+            result = (ell, 0)
+        else:
+            inner = self._exclusive(level.inner, i, j, ell)
+            rest = self._rest(level, i, j, self._column(level.inner, j))
+            if inner is not None and (rest is None or inner[0] >= rest[0]):
+                result = (inner[0], 1)
+            else:
+                result = rest
+        memo[level] = result
+        return result
 
     def fill(self):
-        space = self.space
-        n_start = 2 if space.kind == A_TYPE else 1
-        for length in range(1, self.m + 1):
-            for i in range(0, self.m - length + 1):
-                j = i + length
-                self._in_progress = (i, j)
-                if length == 1:
-                    self.D[(i, j)] = self.abs_values[i]
-                    self.decisions[(i, j)] = ("leaf", i)
-                    self._in_progress = None
-                    continue
-                best = self.D[(i + 1, j)]
-                decision = ("suffix",)
-                if self.abs_values[i] >= best:
-                    best = self.abs_values[i]
-                    decision = ("leaf", i)
-                ell1 = self.ell1(i, j)
-                n = n_start
-                while True:
-                    if space.kind == SINGLE and n > 1:
-                        break
-                    tail = space.theta_tail_sup(n)
-                    bound = tail * ell1
-                    if not bound > best:
-                        if (i, j) == (0, self.m):
-                            self.cutoff_bound = bound
-                        break
-                    theta_n = space.theta_for_index(n)
-                    if theta_n * ell1 > best:
-                        self.max_n_explored = max(self.max_n_explored, n)
-                        fam = space.family_for_index(n)
-                        cand = self._adm((fam,), i, j)
-                        if cand is not None:
-                            value = theta_n * cand[0]
-                            if value > best:
-                                best = value
-                                decision = ("node", n, cand[1])
-                    n += 1
-                self.D[(i, j)] = best
-                self.decisions[(i, j)] = decision
-                self._in_progress = None
+        self._setup()
+        absv, prefix = self._absv, self._prefix
+        D, DT = self._base.F, self._base.FT
+        decisions = self._decisions
+        for j in range(1, self.m + 1):
+            self._j = j
+            for i in range(j - 1, -1, -1):
+                self._i = i
+                ell = prefix[j] - prefix[i]
+                if i == j - 1:
+                    best, decision = absv[i], _LEAF
+                else:
+                    best, decision = self._weigh(i, j, ell)
+                D[i][j] = DT[j][i] = best
+                decisions[i][j] = decision
+                for level in self._tables:
+                    v, code = self._full(level, i, j, ell, self._column(level.inner, j))
+                    level.F[i][j] = level.FT[j][i] = v
+                    level.code[i][j] = code
+        self._i = -1
         if self.cutoff_bound is None:
             # single-family spaces, or tiny supports where the loop never ran
-            self.cutoff_bound = (
-                self.space.theta_tail_sup(2) * self.ell1(0, self.m)
-                if self.m
-                else 0
-            )
+            self.cutoff_bound = self.space.theta_tail_sup(2) * self._ell1
+
+    def _weigh(self, i: int, j: int, ell):
+        """(D[i][j], decision) for j - i >= 2: the sup-norm candidates, then
+        theta_n times each head's exclusive value, n ascending until the
+        tail bound is dominated."""
+        space = self.space
+        exact = space.exact
+        absv = self._absv
+        best = self._base.F[i + 1][j]
+        decision = _SUFFIX
+        if absv[i] >= best:
+            best = absv[i]
+            decision = _LEAF
+        self._exclusives = {}
+        single = space.kind == SINGLE
+        tails, thetas, heads = self._tails, self._thetas, self._heads
+        n = self._n_start
+        while not (single and n > 1):
+            tail = tails.get(n)
+            if tail is None:
+                tail = self._tail(n)
+            if exact:
+                dominated = not tail.numerator * ell > tail.denominator * best
+            else:
+                bound = tail * ell
+                dominated = not bound > best
+            if dominated:
+                if i == 0 and j == self.m:
+                    self.cutoff_bound = tail * self._ell1
+                break
+            theta = thetas.get(n)
+            if theta is None:
+                theta = self._theta(n)
+            if exact:
+                p, q = theta.numerator, theta.denominator
+                explore = p * ell > q * best
+            else:
+                explore = theta * ell > best
+            if explore:
+                self.max_n_explored = max(self.max_n_explored, n)
+                head = heads.get(n)
+                if head is None:
+                    head = self._head(n)
+                cand = self._exclusive(head, i, j, ell)
+                if cand is not None:
+                    if exact:
+                        value, rem = divmod(p * cand[0], q)
+                        if rem:
+                            raise ArithmeticError("node value is not a multiple of the scale")
+                    else:
+                        value = theta * cand[0]
+                    if value > best:
+                        best = value
+                        level, code = head, cand[1]
+                        while code == 1:
+                            level = level.inner
+                            code = self._exclusives[level][1]
+                        decision = (n, level, code)
+            n += 1
+        return best, decision
+
+    # -- results ---------------------------------------------------------------
+
+    def _best(self, i: int, j: int, family):
+        """(level, value, code) of [i, j): D, or the family's chain."""
+        if family is None:
+            return self._base, self._base.F[i][j], None
+        level = self._level((family,))
+        if level is self._base:
+            return level, level.F[i][j], None
+        if level.F is not None:
+            return level, level.F[i][j], level.code[i][j]
+        self._need_table(level.inner)
+        if level.queries is None:
+            level.queries = {}
+        found = level.queries.get((i, j))
+        if found is None:
+            column = self._column(level.inner, j)
+            prefix = self._prefix
+            found = self._full(level, i, j, prefix[j] - prefix[i], column)
+            column.retire()
+            level.queries[(i, j)] = found
+        return (level,) + found
+
+    def value(self, i: int, j: int, family: Optional[families.FamilyExpr] = None):
+        """The norm of x restricted to the support positions [i, j) or, with
+        a family, the best sum of piece norms over partitions of [i, j) into
+        successive runs whose minima are family-admissible.  Exact spaces
+        give a Fraction, float spaces a float."""
+        v = self._best(i, j, family)[1]
+        return Fraction(v, self._scale) if self.space.exact else v
+
+    def pieces(self, i: int, j: int, family: families.FamilyExpr) -> List[Interval]:
+        """The support-position intervals of the partition behind
+        value(i, j, family)."""
+        level, _, code = self._best(i, j, family)
+        if level is self._base:
+            return [(i, j)]
+        return self._expand(level, i, j, code, [])
+
+    def _expand(self, level: _Level, a: int, b: int, code: int, out: List[Interval]):
+        """Append the base pieces of the level's decision `code` on [a, b)."""
+        if code == 0:
+            out.extend((t, t + 1) for t in range(a, b))
+            return out
+        inner = level.inner
+        bounds = [a]
+        if code >= 2:
+            splits = inner.splits[b]
+            for k in range(code, 1, -1):
+                a = splits[a][k - 2]
+                bounds.append(a)
+        bounds.append(b)
+        for s, e in zip(bounds, bounds[1:]):
+            if inner is self._base:
+                out.append((s, e))
+            else:
+                self._expand(inner, s, e, inner.code[s][e], out)
+        return out
 
     def witness(self, i: int, j: int) -> TreeFunctional:
-        kind = self.decisions[(i, j)]
-        if kind[0] == "leaf":
-            t = kind[1]
-            value = self.values[t]
-            return Leaf(1 if value >= 0 else -1, self.coords[t])
-        if kind[0] == "suffix":
-            return self.witness(i + 1, j)
-        _, n, pieces = kind
-        return Node(n, tuple(self.witness(a, b) for a, b in flatten_pieces(pieces)))
+        decisions = self._decisions
+        while decisions[i][j] == _SUFFIX:
+            i += 1
+        decision = decisions[i][j]
+        if decision == _LEAF:
+            return Leaf(1 if self.values[i] >= 0 else -1, self.coords[i])
+        n, level, code = decision
+        return Node(n, tuple(self.witness(a, b) for a, b in self._expand(level, i, j, code, [])))
 
 
 def norm(space: SpaceSpec, x: SparseVector) -> NormResult:
@@ -272,19 +599,12 @@ def norm(space: SpaceSpec, x: SparseVector) -> NormResult:
     cutoff certificate for the unexplored weight indices."""
     engine = _Engine(space, x)
     engine.fill()
-    value = engine.D[(0, engine.m)]
-    if space.exact and not isinstance(value, Fraction):
-        value = Fraction(value)
     return NormResult(
-        value=value,
+        value=engine.value(0, engine.m),
         witness=engine.witness(0, engine.m),
         max_n_explored=max(engine.max_n_explored, 1),
         cutoff_bound=engine.cutoff_bound,
     )
-
-
-def norm_value(space: SpaceSpec, x: SparseVector):
-    return norm(space, x).value
 
 
 def admissible_sum(
@@ -294,17 +614,13 @@ def admissible_sum(
     with the maximizing pieces (as coordinate sets)."""
     engine = _Engine(space, x)
     engine.fill()
-    best = None
-    best_pieces = None
+    best = best_start = None
     for s in range(engine.m):
-        cand = engine._adm((family,), s, engine.m)
-        if cand is not None and (best is None or cand[0] > best):
-            best, best_pieces = cand[0], cand[1]
-    pieces = tuple(engine.coords[a:b] for a, b in flatten_pieces(best_pieces))
-    if space.exact and not isinstance(best, Fraction):
-        best = Fraction(best)
+        value = engine.value(s, engine.m, family)
+        if best is None or value > best:
+            best, best_start = value, s
+    pieces = tuple(engine.coords[a:b] for a, b in engine.pieces(best_start, engine.m, family))
     return AdmissibleSumResult(best, pieces)
-
 
 # ---------------------------------------------------------------------------
 # independent brute-force oracle

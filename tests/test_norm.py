@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import random
 from fractions import Fraction
 
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import tsirelson as t
 from tsirelson.errors import EmptyVector, SupportTooLarge
 from tsirelson.generators import random_vector
-from tsirelson.norm import admissible_sum, brute_norm, norm
+from tsirelson.norm import _Engine, admissible_sum, brute_norm, norm
+from tsirelson.scalars import FLOAT64, close as scalar_close
 
 TSIRELSON = t.preset("tsirelson")
 GEOM_S = t.preset("geometric-s:1/2")
@@ -195,6 +198,92 @@ class TestInvariants:
             x = random_vector(rng, rng.randint(1, 6), exact=False)
             assert float(norm(SCHLUMPRECHT, x).value) <= x.ellp(1) + 1e-9
             assert float(norm(t.preset("tzafriri:1/2"), x).value) <= x.ellp(2) + 1e-9
+
+
+PRESETS = (
+    "tsirelson",
+    "geometric-s:1/2",
+    "geometric-a:1/2",
+    "schlumprecht",
+    "tzafriri:1/2",
+    "ellp:2",
+)
+RATIONAL_PRESETS = ("tsirelson", "geometric-s:1/2", "geometric-a:1/2")
+LARGE_SIZES = (16, 24, 32, 40)
+
+
+def _large_vector(label, m, exact):
+    return random_vector(random.Random(f"large:{label}:{m}"), m, first=2, gap=3, exact=exact)
+
+
+class TestLargeSupports:
+    """Supports of 16 to 40 points, past the reach of ``brute_norm``."""
+
+    @pytest.mark.parametrize("label", RATIONAL_PRESETS)
+    @pytest.mark.parametrize("m", LARGE_SIZES)
+    def test_exact_and_float_agree(self, label, m):
+        spec = t.preset(label)
+        as_float = dataclasses.replace(spec, arithmetic=FLOAT64)
+        x = _large_vector(label, m, exact=True)
+        x_float = t.SparseVector(tuple((c, float(v)) for c, v in x.entries))
+        exact_value = norm(spec, x).value
+        float_value = norm(as_float, x_float).value
+        assert isinstance(exact_value, Fraction) and isinstance(float_value, float)
+        assert scalar_close(exact_value, float_value, exact=False)
+
+    @pytest.mark.parametrize("label", PRESETS + ("geometric-s:1/2+A3",))
+    @pytest.mark.parametrize("m", LARGE_SIZES)
+    def test_witness_is_valid_and_attains(self, label, m):
+        name, _, inner = label.partition("+A")
+        spec = t.preset(name)
+        if inner:
+            spec = spec.with_inner_ak(int(inner))
+        x = _large_vector(label, m, exact=spec.exact)
+        result = norm(spec, x)
+        assert not t.validate(spec, result.witness)
+        attained = t.eval_functional(spec, result.witness, x)
+        assert scalar_close(attained, result.value, spec.exact)
+        assert float(result.cutoff_bound) <= float(result.value) * (1 + 1e-12)
+
+
+class TestEngineContract:
+    """The engine surface that ``benchmarks/tracer.py`` wraps and reads:
+    ``_Engine(space, x)``, ``fill()`` with no arguments, the ``witness(i, j)``
+    method, and the attributes ``space``, ``m``, ``coords`` and the
+    unscaled ``abs_values``."""
+
+    X = t.SparseVector(((2, Fraction(-3, 4)), (3, Fraction(1, 3)), (5, Fraction(5, 7))))
+
+    def test_surface(self):
+        assert inspect.isclass(_Engine)
+        assert list(inspect.signature(_Engine).parameters) == ["space", "x"]
+        assert list(inspect.signature(_Engine.fill).parameters) == ["self"]
+        assert list(inspect.signature(_Engine.witness).parameters) == ["self", "i", "j"]
+
+    @pytest.mark.parametrize("spec", [TSIRELSON, SCHLUMPRECHT], ids=lambda s: s.name)
+    def test_attributes_before_and_after_fill(self, spec):
+        x = self.X if spec.exact else t.SparseVector(tuple((c, float(v)) for c, v in self.X.entries))
+        engine = _Engine(spec, x)
+        for _ in range(2):
+            assert engine.space is spec
+            assert engine.m == 3
+            assert tuple(engine.coords) == (2, 3, 5)
+            assert tuple(engine.abs_values) == tuple(abs(v) for v in x.values)
+            assert all(isinstance(v, Fraction if spec.exact else float) for v in engine.abs_values)
+            engine.fill()
+        assert engine.value(0, engine.m) == norm(spec, x).value
+        assert t.format_functional(engine.witness(0, engine.m)) == t.format_functional(
+            norm(spec, x).witness
+        )
+
+    def test_value_accessor(self):
+        engine = _Engine(TSIRELSON, self.X)
+        engine.fill()
+        for a in range(engine.m):
+            for b in range(a + 1, engine.m + 1):
+                piece = self.X.restrict(engine.coords[a:b])
+                assert engine.value(a, b) == norm(TSIRELSON, piece).value
+        assert engine.value(0, engine.m, t.An(3)) == sum(engine.abs_values)
 
 
 def _best_partition_sum(spec, x, coords, fam):
