@@ -13,16 +13,19 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import families
 from .errors import BudgetExceeded, GroundTooLarge, LengthMismatch
-from .functionals import Leaf, Node, TreeFunctional
-from .generators import random_family_member, random_valid_functional
-from .norm import flat_norm_table, norm
 from .scalars import render_scalar
-from .spaces import A_TYPE, ScaledPowerLaw, SpaceSpec
-from .vectors import SparseVector, sum_vectors
+
+# The suites import the norm, generator, functional, space and vector
+# modules where they use them, so that loading this module (the command line
+# does it for every subcommand) stays cheap.
+if TYPE_CHECKING:
+    from .functionals import TreeFunctional
+    from .spaces import SpaceSpec
+    from .vectors import SparseVector
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,8 @@ def audit_l3(m: int, trials: int, seed: int) -> AuditReport:
     variant 2 places G_i beyond 2 max F_i and expects the union in S_m.
     Gap-1 instances are generated as negative controls and excluded.
     """
+    from .generators import random_family_member
+
     if m > 3:
         raise ValueError("membership cost caps the level at 3")
     rng = random.Random(seed)
@@ -249,6 +254,9 @@ def estimate_domination(
     simplex and sparse-corner coefficient vectors; the estimate is the max
     ratio and can only grow with more samples.
     """
+    from .norm import norm
+    from .vectors import sum_vectors
+
     if len(ys) != len(zs):
         raise LengthMismatch(f"{len(ys)} blocks vs {len(zs)}")
     m = len(ys)
@@ -300,6 +308,10 @@ def audit_kriv(
     flags every row with the scale used.  The bound rows and the per-subset
     table are always exact.
     """
+    from .norm import flat_norm_table, norm
+    from .spaces import A_TYPE, ScaledPowerLaw
+    from .vectors import SparseVector, sum_vectors
+
     if space.kind != A_TYPE or space.p_hint is None:
         raise ValueError("the Krivine audit needs an A-type p-space preset")
     p = float(space.p_hint)
@@ -426,6 +438,9 @@ def _smallest_theta_below(space: SpaceSpec, bound: float) -> Optional[int]:
 def audit_pest(space: SpaceSpec, instances: int, seed: int) -> AuditReport:
     """Random disjoint sibling-group selections in random valid functionals,
     checked against the path-weight Holder inequality."""
+    from .generators import random_valid_functional
+    from .spaces import A_TYPE
+
     if space.kind != A_TYPE or space.p_hint is None:
         raise ValueError("this audit needs an A-type p-space preset")
     p = float(space.p_hint)
@@ -474,6 +489,8 @@ def audit_pest(space: SpaceSpec, instances: int, seed: int) -> AuditReport:
 def _random_group_cut(space, rng, f: TreeFunctional):
     """Random antichain cut: (gamma_n, J_n) with J_n the full child sets of
     the cut nodes, gammas the root-to-node weight products (node included)."""
+    from .functionals import Leaf, Node
+
     if isinstance(f, Leaf):
         return []
     groups = []

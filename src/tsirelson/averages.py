@@ -374,6 +374,8 @@ def check_averaging_tree(space: SpaceSpec, tree: AveragingTree) -> TreeCheckRepo
             if space.exact:
                 if avg != node.vector:
                     ok_average = False
+            elif avg.support != node.vector.support:
+                ok_average = False
             else:
                 diff = sum(
                     abs(a - b)

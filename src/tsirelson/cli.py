@@ -13,14 +13,18 @@ import json
 import sys
 from fractions import Fraction
 
+# Only what every command needs is imported here; each ``_cmd_*`` imports
+# the modules it uses, so a process loads just its subcommand's share of the
+# package.  ``audit`` stays at module scope: tracing tools that wrap the
+# package's functions find the loaded modules through ``tsirelson.cli``.
 from . import audit as audit_mod
-from . import averages, families, functionals, spaces, vectors
-from .norm import norm as compute_norm
 from .errors import HypothesisViolated, ParseError, TsirelsonError
 from .scalars import render_scalar
 
 
-def _load_space(args) -> spaces.SpaceSpec:
+def _load_space(args):
+    from . import spaces
+
     name = args.space
     try:
         spec = spaces.preset(name)
@@ -45,9 +49,11 @@ def _load_space(args) -> spaces.SpaceSpec:
     return spec
 
 
-def _load_vector(path: str, spec: spaces.SpaceSpec) -> vectors.SparseVector:
+def _load_vector(path: str, spec):
+    from .vectors import parse_vector
+
     with open(path, "r", encoding="utf-8") as fh:
-        return vectors.parse_vector(fh.read(), spec.arithmetic)
+        return parse_vector(fh.read(), spec.arithmetic)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -59,6 +65,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_norm(args) -> int:
+    from .norm import norm as compute_norm
+
     spec = _load_space(args)
     x = _load_vector(args.vector, spec)
     result = compute_norm(spec, x)
@@ -68,14 +76,19 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .functionals import format_functional
+    from .norm import norm as compute_norm
+
     spec = _load_space(args)
     x = _load_vector(args.vector, spec)
     result = compute_norm(spec, x)
-    _emit(args, result.as_dict(), functionals.format_functional(result.witness))
+    _emit(args, result.as_dict(), format_functional(result.witness))
     return 0
 
 
 def _cmd_family(args) -> int:
+    from . import families
+
     fam = families.parse_family(args.family)
     if args.family_cmd == "member":
         elems = _parse_set(args.set)
@@ -113,6 +126,8 @@ def _parse_set(text: str):
 
 
 def _cmd_regularize(args) -> int:
+    from . import spaces
+
     spec = _load_space(args)
     mode = spaces.PRODUCT if spec.kind == spaces.A_TYPE else spaces.SUM
     if args.mode:
@@ -124,6 +139,8 @@ def _cmd_regularize(args) -> int:
 
 
 def _cmd_scc(args) -> int:
+    from . import averages
+
     if args.scc_cmd == "build":
         scc = averages.build_scc(args.level, Fraction(args.epsilon), args.start)
         payload = {
@@ -148,6 +165,8 @@ def _cmd_scc(args) -> int:
 
 
 def _cmd_avg(args) -> int:
+    from . import averages
+
     spec = _load_space(args)
     if args.avg_cmd == "build":
         tree = averages.build_averaging_tree(
@@ -181,6 +200,8 @@ def _cmd_avg(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    from . import functionals
+
     spec = _load_space(args)
     if spec.inner_ak is None:
         raise HypothesisViolated("split needs a space with inner_ak")
@@ -192,6 +213,8 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_comparable(args) -> int:
+    from . import functionals
+
     spec = _load_space(args)
     f = functionals.parse_functional(args.functional)
     blocks = [_load_vector(path, spec) for path in args.blocks]
@@ -217,6 +240,8 @@ def _cmd_audit(args) -> int:
         spec = _load_space(args)
         report = audit_mod.audit_kriv(spec, args.count, args.r, args.seed)
     elif suite == "tav":
+        from . import averages
+
         spec = _load_space(args)
         tree = averages.build_averaging_tree(
             spec,
@@ -292,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg = sub.add_parser("regularize", help="regularized weight sequence")
     p_reg.add_argument("--space", required=True)
     p_reg.add_argument("--horizon", type=int, required=True)
-    p_reg.add_argument("--mode", choices=[spaces.PRODUCT, spaces.SUM])
+    p_reg.add_argument("--mode", choices=["product", "sum"])
     p_reg.set_defaults(func=_cmd_regularize)
 
     p_scc = sub.add_parser("scc", help="special convex combinations")

@@ -80,6 +80,21 @@ class Compose:
 FamilyExpr = Union[An, Sn, Compose]
 
 
+def _cached_hash(family) -> int:
+    """The dataclass hash of the fields, computed once per instance: every
+    memo lookup hashes a family, and a nested composition would otherwise
+    rehash its whole tree each time."""
+    try:
+        return family.__dict__["_hash"]
+    except KeyError:
+        fields = tuple(getattr(family, name) for name in family.__dataclass_fields__)
+        h = family.__dict__["_hash"] = hash(fields)
+        return h
+
+
+An.__hash__ = Sn.__hash__ = Compose.__hash__ = _cached_hash
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Witness for membership: the successive pieces, recursively decomposed.
@@ -302,6 +317,10 @@ def _max_run(family: FamilyExpr, start: int) -> int:
     if isinstance(family, Sn):
         if family.n == 0:
             return 1
+        if family.n == 1:  # a run of S_1 from `start` has `start` elements
+            if start > _MAXIMAL_GUARD:
+                raise Unbounded("consecutive run exceeds guard")
+            return start
         inner = Sn(family.n - 1)
         pos = start
         for _ in range(start):  # at most `start` pieces

@@ -65,12 +65,6 @@ def support(f: TreeFunctional) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def height(f: TreeFunctional) -> int:
-    if isinstance(f, Leaf):
-        return 0
-    return 1 + max(height(c) for c in f.children)
-
-
 def eval_functional(space: SpaceSpec, f: TreeFunctional, x: SparseVector):
     """Recursive evaluation: a leaf picks a signed coordinate of x, a node
     multiplies the sum of its children by its weight."""
@@ -216,14 +210,24 @@ def format_functional(f: TreeFunctional) -> str:
     return f"(n {f.weight_index} {inner})"
 
 
+# Deepest nesting ``parse_functional`` accepts (a leaf alone has depth 1).
+# The tree walks recurse, so deeper input is a parse error, not a
+# RecursionError; a norm witness on m coordinates has depth at most m.
+MAX_FUNCTIONAL_DEPTH = 200
+
+
 def parse_functional(text: str) -> TreeFunctional:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
-    def parse() -> TreeFunctional:
+    def parse(depth: int) -> TreeFunctional:
         nonlocal pos
         if pos >= len(tokens) or tokens[pos] != "(":
             raise ParseError("expected '('", position=pos)
+        if depth > MAX_FUNCTIONAL_DEPTH:
+            raise ParseError(
+                f"functional nested deeper than {MAX_FUNCTIONAL_DEPTH}", position=pos
+            )
         pos += 1
         if pos >= len(tokens):
             raise ParseError("unexpected end of functional", position=pos)
@@ -251,7 +255,7 @@ def parse_functional(text: str) -> TreeFunctional:
             pos += 1
             children = []
             while pos < len(tokens) and tokens[pos] == "(":
-                children.append(parse())
+                children.append(parse(depth + 1))
             if not children:
                 raise ParseError("node needs at least one child", position=pos)
             node = Node(weight, tuple(children))
@@ -262,7 +266,7 @@ def parse_functional(text: str) -> TreeFunctional:
         pos += 1
         return node
 
-    result = parse()
+    result = parse(1)
     if pos != len(tokens):
         raise ParseError("trailing tokens after functional", position=pos)
     return result

@@ -45,15 +45,6 @@ def render_scalar(value) -> str:
     return format(float(value), ".17g")
 
 
-def leq(a, b, exact: bool) -> bool:
-    """a <= b, with relative slack in float mode."""
-    if exact:
-        return a <= b
-    a = float(a)
-    b = float(b)
-    return a <= b + FLOAT_RTOL * max(abs(a), abs(b), 1.0)
-
-
 def close(a, b, exact: bool) -> bool:
     """Equality, exact or within the documented float tolerance."""
     if exact:

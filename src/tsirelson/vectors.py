@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .errors import ParseError
-from .scalars import as_fraction, render_scalar
+from .scalars import render_scalar
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,6 @@ class SparseVector:
     def __bool__(self):
         return bool(self.entries)
 
-    def __getitem__(self, coord: int):
-        for c, v in self.entries:
-            if c == coord:
-                return v
-        return 0
-
     def __lt__(self, other: "SparseVector") -> bool:
         """Block order: every coordinate of self precedes every one of other."""
         if not self.entries or not other.entries:
@@ -79,10 +73,6 @@ class SparseVector:
     def restrict(self, coords) -> "SparseVector":
         keep = set(coords)
         return SparseVector(tuple((c, v) for c, v in self.entries if c in keep))
-
-    def restrict_range(self, lo: int, hi: int) -> "SparseVector":
-        """Entries with lo <= coordinate <= hi."""
-        return SparseVector(tuple((c, v) for c, v in self.entries if lo <= c <= hi))
 
     def sup_norm(self):
         if not self.entries:
@@ -136,11 +126,3 @@ def parse_vector(text: str, arithmetic: str = "rational") -> SparseVector:
 
 def format_vector(x: SparseVector) -> str:
     return "\n".join(f"{c}\t{render_scalar(v)}" for c, v in x.entries) + "\n"
-
-
-def as_exact(x: SparseVector) -> SparseVector:
-    return SparseVector(tuple((c, as_fraction(v)) for c, v in x.entries))
-
-
-def as_float(x: SparseVector) -> SparseVector:
-    return SparseVector(tuple((c, float(v)) for c, v in x.entries))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -81,6 +82,24 @@ class TestAveragingTree:
         report = av.check_averaging_tree(GEOM_S, tree)
         assert report.ok  # bounds hold for the scaled-down thresholds
         assert not report.conforming
+
+    def test_float_check_compares_supports(self):
+        tree = av.build_averaging_tree(GEOM_S, av.basis_pool(), 1, Fraction(1, 2))
+        tree = av.tree_from_dict(av.tree_to_dict(tree), exact=False)
+        float_space = dataclasses.replace(GEOM_S, arithmetic="float64")
+        assert av.check_averaging_tree(float_space, tree).ok
+        # move the last leaf one coordinate right; its value still matches
+        # the root entry that belongs to the old coordinate
+        root = tree.root
+        last = root.children[-1]
+        ((coord, value),) = last.vector.entries
+        shifted = dataclasses.replace(last, vector=t.SparseVector(((coord + 1, value),)))
+        tree = dataclasses.replace(
+            tree, root=dataclasses.replace(root, children=root.children[:-1] + (shifted,))
+        )
+        rows = {r.condition: r.ok for r in av.check_averaging_tree(float_space, tree).rows}
+        assert rows["leaves-successive"] and rows["siblings-s1-admissible"]
+        assert rows["uniform-averages"] is False
 
     def test_budget_guard(self):
         with pytest.raises(Exception):

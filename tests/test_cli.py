@@ -1,12 +1,15 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import tsirelson as t
-from tsirelson.cli import run
+from tsirelson.cli import build_parser, run
 from tsirelson.vectors import format_vector, parse_vector
 
 
@@ -119,6 +122,16 @@ class TestCommands:
         assert code == 0
         assert "(n 1 (l + 2) (l + 3))" in out
 
+    def test_deeply_nested_functional_is_usage_error(self, tmp_path, capsys):
+        block = tmp_path / "b.vec"
+        block.write_text("2\t1\n")
+        deep = "(n 1 " * 3000 + "(l + 2)" + ")" * 3000
+        code = run(
+            ["comparable", "--space", "tsirelson", "--functional", deep, "--blocks", str(block)]
+        )
+        assert code == 2
+        assert "nested deeper" in capsys.readouterr().err
+
     def test_regularize(self, capsys):
         code, out = invoke(
             ["regularize", "--space", "geometric-s:1/2", "--horizon", "3"], capsys
@@ -197,3 +210,66 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "norm = 1/1" in proc.stdout
+
+
+# the 44 public names of the package, as listed before it loaded lazily
+PUBLIC_NAMES = [
+    "An", "Compose", "Decomposition", "ExplicitSeq", "Geometric", "Leaf",
+    "LogReciprocal", "Node", "NormResult", "PowerLaw", "ScaledPowerLaw", "Sn",
+    "SpaceSpec", "SparseVector", "admissible_sum", "brute_norm",
+    "check_regularity", "decompose", "derived_params", "errors",
+    "eval_functional", "families", "format_functional", "functionals",
+    "is_admissible", "is_comparable", "is_member", "make_comparable",
+    "max_weight_subset", "maximal_member", "norm", "parse_family",
+    "parse_functional", "parse_space_config", "parse_vector", "preset",
+    "regularize", "scalars", "spaces", "split_xk", "sum_vectors", "theta",
+    "validate", "vectors",
+]
+
+
+def _loaded_modules(code):
+    """The tsirelson modules a fresh interpreter holds after running `code`."""
+    script = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tsirelson'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(t.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestStartup:
+    def test_family_member_loads_only_what_it_uses(self):
+        loaded = _loaded_modules(
+            "from tsirelson.cli import run\n"
+            "assert run(['family', 'member', '--family', 'S2', '--set', '2,3,4']) == 0"
+        )
+        assert "tsirelson.families" in loaded
+        for name in ("norm", "spaces", "averages", "generators"):
+            assert f"tsirelson.{name}" not in loaded
+
+    def test_cli_loads_audit(self):
+        # tracing tools find the audit module through tsirelson.cli
+        assert "tsirelson.audit" in _loaded_modules("import tsirelson.cli")
+
+    def test_norm_is_the_function_after_submodule_imports(self):
+        import tsirelson.averages  # noqa: F401  (imports the submodule tsirelson.norm)
+        import tsirelson.norm  # noqa: F401
+
+        assert t.norm is sys.modules["tsirelson.norm"].norm
+        assert callable(t.norm)
+
+    def test_public_names(self):
+        assert t.__all__ == PUBLIC_NAMES
+        for name in t.__all__:
+            assert getattr(t, name) is not None
+
+    def test_mode_choices_are_the_regularization_modes(self):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        mode = next(a for a in sub.choices["regularize"]._actions if a.dest == "mode")
+        assert mode.choices == [t.spaces.PRODUCT, t.spaces.SUM]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tsirelson as t
-from tsirelson.errors import NonSuccessive, ParseError
+from tsirelson import families
+from tsirelson.errors import NonSuccessive, ParseError, Unbounded
 from tsirelson.families import family_members
 
 from conftest import exhaustive_member
@@ -153,6 +154,46 @@ class TestMaximalMember:
         assert not t.is_member(t.Sn(2), run + (run[-1] + 1,))
         assert run[0] == 2
         assert run == tuple(range(2, 2 + len(run)))
+
+    @pytest.mark.parametrize("start", range(1, 9))
+    def test_s1_run_has_start_elements(self, start):
+        assert t.maximal_member(t.Sn(1), start) == tuple(range(start, 2 * start))
+
+    @pytest.mark.parametrize("start", range(1, 7))
+    def test_s2_run_size(self, start):
+        # `start` successive S_1 runs, each as long as its first element
+        assert len(t.maximal_member(t.Sn(2), start)) == start * (2**start - 1)
+
+    def test_s3_reaches_the_guard_in_few_steps(self, monkeypatch):
+        calls = 0
+        max_run = families._max_run
+
+        def counting(family, start):
+            nonlocal calls
+            calls += 1
+            return max_run(family, start)
+
+        monkeypatch.setattr(families, "_max_run", counting)
+        with pytest.raises(Unbounded, match="consecutive run exceeds guard"):
+            t.maximal_member(t.Sn(3), 3)
+        assert calls < 100
+
+
+class TestFamilyHash:
+    def test_cached_hash_is_the_dataclass_hash(self):
+        inner = t.Compose(t.Sn(1), t.An(2))
+        cases = [
+            (t.An(3), (3,)),
+            (t.Sn(0), (0,)),
+            (t.Sn(2), (2,)),
+            (inner, (t.Sn(1), t.An(2))),
+            (t.Compose(inner, t.An(3)), (inner, t.An(3))),
+        ]
+        for family, fields in cases:
+            assert hash(family) == hash(fields)
+            assert hash(family) == hash(fields)  # the second call reads the cache
+            assert family == t.parse_family(str(family))
+            assert repr(family) == repr(t.parse_family(str(family)))
 
 
 class TestParser:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tsirelson as t
-from tsirelson.errors import InvalidInput
+from tsirelson.errors import InvalidInput, ParseError
 from tsirelson.functionals import (
+    MAX_FUNCTIONAL_DEPTH,
     comparability_constant,
     negate_functional,
     node_supports,
@@ -112,6 +113,15 @@ class TestSExpr:
         for text in ["(n 1)", "(l + )", "(x 1 (l + 2))", "(l + 2", "(l + 2))"]:
             with pytest.raises(Exception):
                 t.parse_functional(text)
+
+    def test_depth_cap(self):
+        def nested(depth):
+            return "(n 1 " * (depth - 1) + "(l + 2)" + ")" * (depth - 1)
+
+        f = t.parse_functional(nested(MAX_FUNCTIONAL_DEPTH))
+        assert support(f) == (2,)
+        with pytest.raises(ParseError, match="nested deeper"):
+            t.parse_functional(nested(MAX_FUNCTIONAL_DEPTH + 1))
 
 
 class TestComparable:
