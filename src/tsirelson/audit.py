@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import families
 from .errors import BudgetExceeded, GroundTooLarge, LengthMismatch
-from .scalars import render_scalar
+from .scalars import leq, render_scalar
 
 # The suites import the norm, generator, functional, space and vector
 # modules where they use them, so that loading this module (the command line
@@ -345,9 +345,9 @@ def audit_kriv(
     conforming = scale == 1
     for n, (m_n, L) in enumerate(zip(ms, lengths), start=1):
         theta_mn = float(space.theta_for_index(m_n))
-        cond2 = N * theta_mn <= 2.0 ** -(n + 2) * scale * (1 + 1e-12)
+        cond2 = leq(N * theta_mn, 2.0 ** -(n + 2) * scale)
         prev_supp = sum(lengths[: n - 1])
-        cond3 = theta_mn * prev_supp <= 2.0 ** -(n + 2) * scale * (1 + 1e-12)
+        cond3 = leq(theta_mn * prev_supp, 2.0 ** -(n + 2) * scale)
         c_meas = max(
             max(t ** (1.0 / r) / table[t], table[t] / t ** (1.0 / r))
             for t in range(1, L + 1)
@@ -379,11 +379,11 @@ def audit_kriv(
             value = float(norm(space, vec).value)
         bound = 99.0 * len(J) ** (1.0 / p)
         values = {"norm": value, "bound": bound, "J": str([n + 1 for n in J])}
-        ok = value <= bound * (1 + 1e-9)
+        ok = leq(value, bound)
         if c_inf is not None:
             tz_bound = 6.0 / c_inf * len(J) ** (1.0 / p)
             values["tz_bound"] = tz_bound
-            ok = ok and value <= tz_bound * (1 + 1e-9)
+            ok = ok and leq(value, tz_bound)
         rows.append(AuditRow(f"J={[n + 1 for n in J]}", values, ok))
     return AuditReport(
         "kriv",
@@ -478,8 +478,7 @@ def audit_pest(space: SpaceSpec, instances: int, seed: int) -> AuditReport:
                 else sum(float(a_n) for a_n in a)
             )
             worst = max(worst, lhs - rhs)
-            if lhs > rhs * (1 + 1e-9) + 1e-12:
-                ok = False
+            ok = ok and leq(lhs, rhs)
         rows.append(
             AuditRow(f"t{trial}", {"groups": len(groups), "max_excess": worst}, ok)
         )

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import families
+from .audit import AuditReport, AuditRow
 from .errors import (
     HypothesisViolated,
     InsufficientPool,
@@ -23,8 +24,9 @@ from .errors import (
     SupportTooLarge,
     TsirelsonError,
 )
-from .functionals import Leaf, Node, TreeFunctional, eval_functional, support
+from .functionals import TreeFunctional, _leaf_sign_map, eval_functional, support
 from .norm import _Engine, admissible_sum, norm
+from .scalars import close, leq
 from .spaces import SpaceSpec, derived_params
 from .vectors import SparseVector, sum_vectors
 
@@ -109,32 +111,17 @@ def build_lr_average(space: SpaceSpec, pool: Iterable[SparseVector], r, length: 
     return x, c_est
 
 
-@dataclass(frozen=True)
-class LrBoundsRow:
-    j: int
-    value: float
-    lower: float
-    upper: float
-
-    @property
-    def ok(self) -> bool:
-        return self.lower <= self.value * (1 + 1e-12) and self.value <= self.upper * (
-            1 + 1e-12
-        )
-
-
-@dataclass(frozen=True)
-class LrBoundsReport:
-    rows: Tuple[LrBoundsRow, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
+def _bounds_row(row_id: str, value, lower, upper) -> AuditRow:
+    return AuditRow(
+        row_id,
+        {"value": value, "lower": lower, "upper": upper},
+        leq(lower, value) and leq(value, upper),
+    )
 
 
 def check_lr_average_bounds(
     space: SpaceSpec, x: SparseVector, C: float, r, N: int, M: int
-) -> LrBoundsReport:
+) -> AuditReport:
     """Admissible-sum bounds for a C-l_r-average of length N, per level j <= M.
 
     The hypothesis requires N >= (2M)**r; with 1/s + 1/r = 1, the level-j
@@ -146,8 +133,8 @@ def check_lr_average_bounds(
     for j in range(1, M + 1):
         value = float(admissible_sum(space, x, families.An(j)).value)
         js = 1.0 if r == 1 else float(j) ** (1.0 - 1.0 / float(r))
-        rows.append(LrBoundsRow(j, value, js / (2 * C * C), 2 * C * C * js))
-    return LrBoundsReport(tuple(rows))
+        rows.append(_bounds_row(f"j={j}", value, js / (2 * C * C), 2 * C * C * js))
+    return AuditReport("lr-bounds", {"C": C, "r": r, "N": N, "M": M}, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -325,36 +312,16 @@ def tree_from_dict(data: dict, exact: bool = True) -> AveragingTree:
     )
 
 
-@dataclass(frozen=True)
-class TreeCheckRow:
-    condition: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class TreeCheckReport:
-    rows: Tuple[TreeCheckRow, ...]
-    conforming: bool
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-
-def check_averaging_tree(space: SpaceSpec, tree: AveragingTree) -> TreeCheckReport:
+def check_averaging_tree(space: SpaceSpec, tree: AveragingTree) -> AuditReport:
     """Verify the averaging-tree conditions on the stored structure."""
-    rows: List[TreeCheckRow] = []
     level_sizes = [len(tree.level_nodes(j)) for j in range(tree.depth + 1)]
     ok_sizes = level_sizes[tree.depth] == 1 and all(
         level_sizes[j] > level_sizes[j + 1] for j in range(tree.depth)
     )
-    rows.append(
-        TreeCheckRow("level-sizes", ok_sizes, f"N_j = {list(reversed(level_sizes))}")
-    )
+    rows = [AuditRow("level-sizes", {"N_j": list(reversed(level_sizes))}, ok_sizes)]
     leaves = tree.level_nodes(0)
     ok_leaves = all(a.vector < b.vector for a, b in zip(leaves, leaves[1:]))
-    rows.append(TreeCheckRow("leaves-successive", ok_leaves))
+    rows.append(AuditRow("leaves-successive", {}, ok_leaves))
     ok_admissible = True
     ok_average = True
     for j in range(1, tree.depth + 1):
@@ -371,22 +338,13 @@ def check_averaging_tree(space: SpaceSpec, tree: AveragingTree) -> TreeCheckRepo
             avg = sum_vectors([c.vector for c in kids]).scale(
                 Fraction(1, k) if space.exact else 1.0 / k
             )
-            if space.exact:
-                if avg != node.vector:
-                    ok_average = False
-            elif avg.support != node.vector.support:
+            if avg.support != node.vector.support or not all(
+                close(a, b, space.exact) for a, b in zip(avg.values, node.vector.values)
+            ):
                 ok_average = False
-            else:
-                diff = sum(
-                    abs(a - b)
-                    for (_, a), (_, b) in zip(avg.entries, node.vector.entries)
-                )
-                if diff > 1e-9:
-                    ok_average = False
-    rows.append(TreeCheckRow("siblings-s1-admissible", ok_admissible))
-    rows.append(TreeCheckRow("uniform-averages", ok_average))
-    ok_bounds = True
-    detail = []
+    rows.append(AuditRow("siblings-s1-admissible", {}, ok_admissible))
+    rows.append(AuditRow("uniform-averages", {}, ok_average))
+    violations = []
     for j in range(1, tree.depth + 1):
         prev_supp = None
         for i, node in enumerate(tree.level_nodes(j), start=1):
@@ -394,45 +352,20 @@ def check_averaging_tree(space: SpaceSpec, tree: AveragingTree) -> TreeCheckRepo
                 i, j, tree.theta, tree.epsilon, prev_supp, tree.relaxed_scale
             )
             if not node.k > bound:
-                ok_bounds = False
-                detail.append(f"k_{{{i},{j}}}={node.k} <= {float(bound):.3g}")
+                violations.append(f"k_{{{i},{j}}}={node.k} <= {float(bound):.3g}")
             prev_supp = node.vector.support[-1]
     rows.append(
-        TreeCheckRow(
+        AuditRow(
             "size-bounds" + ("" if tree.conforming else " (relaxed)"),
-            ok_bounds,
-            "; ".join(detail),
+            {"violations": violations},
+            not violations,
         )
     )
-    return TreeCheckReport(tuple(rows), tree.conforming)
+    params = {"levels": tree.depth, "leaves": len(leaves), "conforming": tree.conforming}
+    return AuditReport("averaging-tree", params, tuple(rows))
 
 
-@dataclass(frozen=True)
-class TavRow:
-    j: int
-    value: float
-    lower: float
-    upper: float
-
-    @property
-    def ok(self) -> bool:
-        return self.lower <= self.value * (1 + 1e-9) and self.value <= self.upper * (
-            1 + 1e-9
-        )
-
-
-@dataclass(frozen=True)
-class TavReport:
-    rows: Tuple[TavRow, ...]
-    node_norm_rows: Tuple[Tuple[int, float, float, bool], ...]
-    conforming: bool
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows) and all(r[3] for r in self.node_norm_rows)
-
-
-def audit_tav(space: SpaceSpec, tree: AveragingTree, delta) -> TavReport:
+def audit_tav(space: SpaceSpec, tree: AveragingTree, delta) -> AuditReport:
     """Check the special-average bounds for the normalized tree root.
 
     Per level j the S_j-admissible sum of the normalized vector must lie in
@@ -452,14 +385,15 @@ def audit_tav(space: SpaceSpec, tree: AveragingTree, delta) -> TavReport:
             value = float(admissible_sum(space, y, families.Sn(j)).value)
         lower = theta1 * theta ** (1 - j) / 4
         upper = 4 * theta ** (-j - 1) / theta1
-        rows.append(TavRow(j, value, lower, upper))
-    node_rows = []
+        rows.append(_bounds_row(f"j={j}", value, lower, upper))
     for j in range(1, tree.depth + 1):
-        for node in tree.level_nodes(j):
+        bound = (1 - float(delta)) ** j * theta**j
+        for i, node in enumerate(tree.level_nodes(j), start=1):
             value = float(norm(space, node.vector).value)
-            bound = (1 - float(delta)) ** j * theta**j
-            node_rows.append((j, value, bound, value >= bound * (1 - 1e-9)))
-    return TavReport(tuple(rows), tuple(node_rows), tree.conforming)
+            values = {"value": value, "lower": bound}
+            rows.append(AuditRow(f"node:j={j},i={i}", values, leq(bound, value)))
+    params = {"delta": delta, "levels": tree.depth, "conforming": tree.conforming}
+    return AuditReport("tav", params, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +667,7 @@ def c0_average_associate(space: SpaceSpec, f_parts: Sequence[TreeFunctional]):
             raise SupportTooLarge(
                 f"coordinate search handles supports up to {C0_SUPPORT_BOUND}"
             )
-        signs = _leaf_signs(f)
+        signs = _leaf_sign_map(f)
         best_ratio = None
         best_vec = None
         for mask in range(1, 1 << len(sup)):
@@ -753,17 +687,3 @@ def c0_average_associate(space: SpaceSpec, f_parts: Sequence[TreeFunctional]):
     if space.exact:
         return x, Fraction(achieved_sum) / total_norm
     return x, float(achieved_sum) / float(total_norm)
-
-
-def _leaf_signs(f: TreeFunctional) -> dict:
-    signs = {}
-
-    def rec(g):
-        if isinstance(g, Leaf):
-            signs[g.coordinate] = g.sign
-        else:
-            for c in g.children:
-                rec(c)
-
-    rec(f)
-    return signs

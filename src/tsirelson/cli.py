@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 # Only what every command needs is imported here; each ``_cmd_*`` imports
@@ -32,20 +33,10 @@ def _load_space(args):
         with open(name, "r", encoding="utf-8") as fh:
             spec = spaces.parse_space_config(fh.read())
     if getattr(args, "arithmetic", None):
-        spec = spaces.SpaceSpec(
-            kind=spec.kind,
-            thetas=spec.thetas,
-            single_family=spec.single_family,
-            single_theta=(
-                float(spec.single_theta)
-                if args.arithmetic == "float64" and spec.single_theta is not None
-                else spec.single_theta
-            ),
-            inner_ak=spec.inner_ak,
-            arithmetic=args.arithmetic,
-            name=spec.name,
-            p_hint=spec.p_hint,
-        )
+        single_theta = spec.single_theta
+        if args.arithmetic == "float64" and single_theta is not None:
+            single_theta = float(single_theta)
+        spec = replace(spec, single_theta=single_theta, arithmetic=args.arithmetic)
     return spec
 
 
@@ -164,41 +155,6 @@ def _cmd_scc(args) -> int:
     return 0 if verdict else 1
 
 
-def _cmd_avg(args) -> int:
-    from . import averages
-
-    spec = _load_space(args)
-    if args.avg_cmd == "build":
-        tree = averages.build_averaging_tree(
-            spec,
-            averages.basis_pool(),
-            args.levels,
-            Fraction(args.epsilon),
-            relaxed_scale=args.relaxed,
-            leaf_budget=args.leaf_budget,
-        )
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(averages.tree_to_dict(tree), fh, sort_keys=True)
-                fh.write("\n")
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            tree = averages.tree_from_dict(json.load(fh), exact=spec.exact)
-    report = averages.check_averaging_tree(spec, tree)
-    payload = {
-        "leaves": tree.leaf_count(),
-        "conforming": tree.conforming,
-        "checks": [
-            {"condition": r.condition, "ok": r.ok, "detail": r.detail}
-            for r in report.rows
-        ],
-    }
-    lines = [f"leaves = {tree.leaf_count()} conforming = {tree.conforming}"]
-    lines += [f"  [{'ok' if r.ok else 'FAIL'}] {r.condition} {r.detail}" for r in report.rows]
-    _emit(args, payload, "\n".join(lines))
-    return 0 if report.ok else 1
-
-
 def _cmd_split(args) -> int:
     from . import functionals
 
@@ -239,6 +195,27 @@ def _cmd_audit(args) -> int:
     elif suite == "kriv":
         spec = _load_space(args)
         report = audit_mod.audit_kriv(spec, args.count, args.r, args.seed)
+    elif suite == "avg":
+        from . import averages
+
+        spec = _load_space(args)
+        if args.avg_cmd == "build":
+            tree = averages.build_averaging_tree(
+                spec,
+                averages.basis_pool(),
+                args.levels,
+                Fraction(args.epsilon),
+                relaxed_scale=args.relaxed,
+                leaf_budget=args.leaf_budget,
+            )
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    json.dump(averages.tree_to_dict(tree), fh, sort_keys=True)
+                    fh.write("\n")
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                tree = averages.tree_from_dict(json.load(fh), exact=spec.exact)
+        report = averages.check_averaging_tree(spec, tree)
     elif suite == "tav":
         from . import averages
 
@@ -250,28 +227,15 @@ def _cmd_audit(args) -> int:
             Fraction(args.epsilon),
             relaxed_scale=args.relaxed,
         )
-        tav = averages.audit_tav(spec, tree, Fraction(args.delta))
-        payload = {
-            "conforming": tav.conforming,
-            "rows": [
-                {"j": r.j, "value": r.value, "lower": r.lower, "upper": r.upper, "ok": r.ok}
-                for r in tav.rows
-            ],
-        }
-        lines = [
-            f"  [{'ok' if r.ok else 'FAIL'}] j={r.j} value={r.value:.6g} "
-            f"in [{r.lower:.6g}, {r.upper:.6g}]"
-            for r in tav.rows
-        ]
-        _emit(args, payload, "\n".join(lines))
-        return 0 if tav.ok else 1
+        report = averages.audit_tav(spec, tree, Fraction(args.delta))
     elif suite == "domination":
         spec = _load_space(args)
         ys = [_load_vector(p, spec) for p in args.ys]
         zs = [_load_vector(p, spec) for p in args.zs]
         est = audit_mod.estimate_domination(spec, ys, zs, args.trials, args.seed)
-        _emit(args, {"estimate": est}, f"domination estimate >= {est:.6g}")
-        return 0
+        row = audit_mod.AuditRow("estimate", {"estimate": est}, None)
+        params = {"trials": args.trials}
+        report = audit_mod.AuditReport("domination", params, (row,), args.seed)
     else:
         raise ParseError(f"unknown audit suite {suite!r}")
     _emit(args, report.to_dict(), report.table())
@@ -340,11 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--relaxed", type=int)
     q.add_argument("--leaf-budget", type=int, default=100_000)
     q.add_argument("--out", help="serialize the tree to this JSON path")
-    q.set_defaults(func=_cmd_avg)
+    q.set_defaults(func=_cmd_audit, suite="avg")
     q = avg_sub.add_parser("check")
     q.add_argument("--space", required=True)
     q.add_argument("--input", required=True, help="tree JSON from avg build --out")
-    q.set_defaults(func=_cmd_avg)
+    q.set_defaults(func=_cmd_audit, suite="avg")
 
     p_split = sub.add_parser("split", help="split an auxiliary-space functional")
     p_split.add_argument("--space", required=True)

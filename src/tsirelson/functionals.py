@@ -164,25 +164,6 @@ def node_supports(f: TreeFunctional) -> List[Tuple[int, ...]]:
     return out
 
 
-def _comparable_set(
-    sup: Tuple[int, ...],
-    block_ranges: Sequence[Tuple[int, int]],
-    block_supports: Sequence[set],
-    global_support: set,
-) -> bool:
-    lo, hi = sup[0], sup[-1]
-    sup_set = set(sup)
-    for (blo, bhi), bsupp in zip(block_ranges, block_supports):
-        if hi < blo or lo > bhi:
-            continue  # ranges disjoint
-        if lo >= blo and hi <= bhi:
-            continue  # inside the block's range
-        if (bsupp & global_support) <= sup_set:
-            continue  # contains every global-support point of the block
-        return False
-    return True
-
-
 def is_comparable(f: TreeFunctional, blocks: Sequence[SparseVector]) -> bool:
     """Three-way condition: each node support lies inside one block's range,
     or contains all the functional's support points of every block it meets,
@@ -193,8 +174,8 @@ def is_comparable(f: TreeFunctional, blocks: Sequence[SparseVector]) -> bool:
     block_ranges = [b.range() for b in blocks]
     block_supports = [set(b.support) for b in blocks]
     global_support = set(support(f))
-    return all(
-        _comparable_set(sup, block_ranges, block_supports, global_support)
+    return not any(
+        _partial_blocks(sup, block_ranges, block_supports, global_support)
         for sup in node_supports(f)
     )
 
@@ -439,11 +420,11 @@ def _partial_blocks(sup, block_ranges, block_supports, global_support):
     sup_set = set(sup)
     for i, ((blo, bhi), bsupp) in enumerate(zip(block_ranges, block_supports)):
         if hi < blo or lo > bhi:
-            continue
+            continue  # ranges disjoint
         if lo >= blo and hi <= bhi:
-            continue
+            continue  # inside the block's range
         if (bsupp & global_support) <= sup_set:
-            continue
+            continue  # contains every global-support point of the block
         out.append(i)
     return out
 

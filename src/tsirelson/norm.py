@@ -731,15 +731,11 @@ def flat_norm_table(space: SpaceSpec, max_len: int) -> List[object]:
     """
     if space.kind != A_TYPE:
         raise ValueError("flat_norm_table applies to A-type spaces")
-    import numpy as np
-
-    g = np.zeros(max_len + 1)
+    g = [0.0] * (max_len + 1)
     g[1] = 1.0
     # a k-piece split is admissible for every level n >= k, so the best
     # weight for it is the tail sup of the weights from k on
-    theta_from = np.zeros(max_len + 1)
-    for k in range(1, max_len + 1):
-        theta_from[k] = float(space.theta_tail_sup(k))
+    theta_from = [0.0] + [float(space.theta_tail_sup(k)) for k in range(1, max_len + 1)]
     # H[k][l] = best sum of piece norms over exactly k pieces of total
     # length l; rows extend by one entry as l grows, H[1] aliases g
     H = [None, g]
@@ -747,14 +743,14 @@ def flat_norm_table(space: SpaceSpec, max_len: int) -> List[object]:
         best = 1.0
         for k in range(2, L + 1):
             if len(H) <= k:
-                H.append(np.full(max_len + 1, -np.inf))
+                H.append([-math.inf] * (max_len + 1))
             if k == L:
                 H[k][L] = float(L)
             else:
-                s = np.arange(1, L - k + 2)
-                H[k][L] = np.max(g[s] + H[k - 1][L - s])
+                # first piece of length s = 1..L-k+1 against H[k-1][L-s]
+                H[k][L] = max(map(add, g[1 : L - k + 2], H[k - 1][L - 1 : k - 2 : -1]))
             cand = theta_from[k] * H[k][L]
             if cand > best:
                 best = cand
         g[L] = best
-    return [None] + [float(v) for v in g[1 : max_len + 1]]
+    return [None] + g[1:]

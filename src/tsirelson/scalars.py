@@ -3,7 +3,8 @@
 Rational mode works in ``fractions.Fraction`` throughout and is exact.
 Float mode uses binary64; comparisons against bounds use a relative
 tolerance of ``FLOAT_RTOL`` (1e-12), the tolerance documented for the
-whole package.
+whole package.  ``leq`` and ``close`` are the only places that apply it:
+exact values on both sides compare exactly.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ def close(a, b, exact: bool) -> bool:
     a = float(a)
     b = float(b)
     return abs(a - b) <= FLOAT_RTOL * max(abs(a), abs(b), 1.0)
+
+
+def leq(a, b) -> bool:
+    """``a <= b``: exact when neither side is a float, else within the
+    documented relative float tolerance."""
+    if not isinstance(a, float) and not isinstance(b, float):
+        return a <= b
+    return a - b <= FLOAT_RTOL * max(abs(a), abs(b))
 
 
 def integer_root(n: int, k: int):

@@ -10,13 +10,13 @@ rational mode; variants whose values are irrational raise
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import families
 from .errors import IrrationalInRationalMode, ParseError
-from .scalars import FLOAT64, RATIONAL, as_fraction, integer_root, parse_scalar
+from .scalars import FLOAT64, RATIONAL, as_fraction, integer_root, leq, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def check_regularity(seq: ThetaSeq, mode: str, horizon: int, arithmetic: str = R
                 super_viol.append((n, m, th[idx - 1], th[n - 1] * th[m - 1]))
     theta_lim = max(float(th[n - 1]) ** (1.0 / n) for n in range(1, horizon + 1))
     cns = [float(th[n - 1]) / theta_lim**n for n in range(1, horizon + 1)]
-    cn_mono = all(b <= a * (1 + 1e-12) for a, b in zip(cns, cns[1:]))
+    cn_mono = all(leq(b, a) for a, b in zip(cns, cns[1:]))
     return RegularityReport(mode, horizon, mono, tuple(super_viol), cn_mono, theta_lim)
 
 
@@ -326,16 +326,7 @@ class SpaceSpec:
         return theta_sup_from(self.thetas, n, self.arithmetic)
 
     def with_inner_ak(self, k: Optional[int]) -> "SpaceSpec":
-        return SpaceSpec(
-            kind=self.kind,
-            thetas=self.thetas,
-            single_family=self.single_family,
-            single_theta=self.single_theta,
-            inner_ak=k,
-            arithmetic=self.arithmetic,
-            name=self.name,
-            p_hint=self.p_hint,
-        )
+        return replace(self, inner_ak=k)
 
 
 @dataclass(frozen=True)

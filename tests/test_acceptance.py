@@ -139,7 +139,7 @@ def test_criterion_05_lr_average_bounds():
     for spec, start in ((TSIRELSON, 16), (SCHLUMPRECHT, 16)):
         x, c_est = av.build_lr_average(spec, av.basis_pool(start), 1, 16)
         rep = av.check_lr_average_bounds(spec, x, c_est, 1, N=16, M=2)
-        assert rep.ok, (spec.name, [(r.j, r.value, r.lower, r.upper) for r in rep.rows])
+        assert rep.all_pass, (spec.name, [(r.id, r.values) for r in rep.rows])
     assert report(5, True, "N=16, M=2 on T[S_1,1/2] and Schlumprecht, measured C")
 
 
@@ -158,16 +158,18 @@ def test_criterion_07_tav():
     )
     assert tree.conforming
     check = av.check_averaging_tree(GEOM_S, tree)
-    assert check.ok
+    assert check.all_pass
     tav = av.audit_tav(GEOM_S, tree, Fraction(1, 2))
-    assert tav.ok, [(r.j, r.value, r.lower, r.upper) for r in tav.rows]
+    assert tav.all_pass, [(r.id, r.values) for r in tav.rows]
     # M = 2 regression run, relaxed mode, archived values only
     relaxed = av.build_averaging_tree(
         GEOM_S, av.basis_pool(), 2, Fraction(1, 2), relaxed_scale=2000
     )
     assert not relaxed.conforming
     relaxed_tav = av.audit_tav(GEOM_S, relaxed, Fraction(1, 2))
-    archived = [(r.j, round(r.value, 4)) for r in relaxed_tav.rows]
+    archived = [
+        (r.id, round(r.values["value"], 4)) for r in relaxed_tav.rows if r.id.startswith("j=")
+    ]
     assert report(
         7,
         True,

@@ -53,15 +53,15 @@ class TestLrAverages:
         pool = av.basis_pool(16)
         x, c_est = av.build_lr_average(TSIRELSON, pool, 1, 16)
         report = av.check_lr_average_bounds(TSIRELSON, x, c_est, 1, N=16, M=2)
-        assert report.ok
-        assert report.rows[0].value == pytest.approx(1.0)
+        assert report.all_pass
+        assert report.rows[0].values["value"] == pytest.approx(1.0)
 
 
 class TestAveragingTree:
     def test_m0_single_leaf(self):
         tree = av.build_averaging_tree(GEOM_S, av.basis_pool(), 0, Fraction(1, 2))
         assert tree.leaf_count() == 1
-        assert av.check_averaging_tree(GEOM_S, tree).ok
+        assert av.check_averaging_tree(GEOM_S, tree).all_pass
 
     def test_exact_m1(self):
         tree = av.build_averaging_tree(
@@ -70,7 +70,7 @@ class TestAveragingTree:
         assert tree.conforming
         assert tree.leaf_count() == 193  # bound 6*2^3 * theta^-1 * eps^-1 = 192
         report = av.check_averaging_tree(GEOM_S, tree)
-        assert report.ok
+        assert report.all_pass
         root = tree.root
         assert sum(root.vector.values) == 1  # exact uniform average of leaves
 
@@ -80,14 +80,14 @@ class TestAveragingTree:
         )
         assert not tree.conforming
         report = av.check_averaging_tree(GEOM_S, tree)
-        assert report.ok  # bounds hold for the scaled-down thresholds
-        assert not report.conforming
+        assert report.all_pass  # bounds hold for the scaled-down thresholds
+        assert not report.params["conforming"]
 
     def test_float_check_compares_supports(self):
         tree = av.build_averaging_tree(GEOM_S, av.basis_pool(), 1, Fraction(1, 2))
         tree = av.tree_from_dict(av.tree_to_dict(tree), exact=False)
         float_space = dataclasses.replace(GEOM_S, arithmetic="float64")
-        assert av.check_averaging_tree(float_space, tree).ok
+        assert av.check_averaging_tree(float_space, tree).all_pass
         # move the last leaf one coordinate right; its value still matches
         # the root entry that belongs to the old coordinate
         root = tree.root
@@ -97,7 +97,7 @@ class TestAveragingTree:
         tree = dataclasses.replace(
             tree, root=dataclasses.replace(root, children=root.children[:-1] + (shifted,))
         )
-        rows = {r.condition: r.ok for r in av.check_averaging_tree(float_space, tree).rows}
+        rows = {r.id: r.ok for r in av.check_averaging_tree(float_space, tree).rows}
         assert rows["leaves-successive"] and rows["siblings-s1-admissible"]
         assert rows["uniform-averages"] is False
 
@@ -110,7 +110,7 @@ class TestAveragingTree:
     def test_tav_m0_trivial(self):
         tree = av.build_averaging_tree(GEOM_S, av.basis_pool(), 0, Fraction(1, 2))
         report = av.audit_tav(GEOM_S, tree, Fraction(1, 2))
-        assert report.ok
+        assert report.all_pass
         assert len(report.rows) == 1
 
 

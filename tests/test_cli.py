@@ -151,6 +151,73 @@ def _write_tmp(text):
     return handle.name
 
 
+class TestReportCommands:
+    """``avg`` and the ``audit`` suites write the one report shape."""
+
+    TREE_ARGS = ["--space", "geometric-s:1/2", "--levels", "1", "--epsilon", "1/2"]
+
+    def report(self, tmp_path, argv, suite, expected=0):
+        blobs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert run(["--json", str(out), *argv]) == expected
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+        payload = json.loads(blobs[0])
+        assert payload["suite"] == suite
+        assert payload["checked"] == sum(r["ok"] is not None for r in payload["rows"])
+        assert payload["failed"] == sum(r["ok"] is False for r in payload["rows"])
+        return payload
+
+    def test_avg_build_and_check(self, tmp_path):
+        tree = tmp_path / "tree.json"
+        argv = ["avg", "build", *self.TREE_ARGS, "--relaxed", "3", "--out", str(tree)]
+        built = self.report(tmp_path, argv, "averaging-tree")
+        assert [r["id"] for r in built["rows"]] == [
+            "level-sizes",
+            "leaves-successive",
+            "siblings-s1-admissible",
+            "uniform-averages",
+            "size-bounds (relaxed)",
+        ]
+        assert (built["checked"], built["failed"]) == (5, 0)
+        assert built["params"]["conforming"] == "False"
+        argv = ["avg", "check", "--space", "geometric-s:1/2", "--input", str(tree)]
+        assert self.report(tmp_path, argv, "averaging-tree")["rows"] == built["rows"]
+
+    def test_avg_check_failure_exits_1(self, tmp_path):
+        tree = tmp_path / "tree.json"
+        assert run(["avg", "build", *self.TREE_ARGS, "--relaxed", "3", "--out", str(tree)]) == 0
+        data = json.loads(tree.read_text())
+        leaves = data["levels"][-1]["nodes"]
+        leaves[1]["support"] = leaves[0]["support"]
+        tree.write_text(json.dumps(data))
+        argv = ["avg", "check", "--space", "geometric-s:1/2", "--input", str(tree)]
+        payload = self.report(tmp_path, argv, "averaging-tree", expected=1)
+        failed = {r["id"] for r in payload["rows"] if r["ok"] is False}
+        assert "leaves-successive" in failed
+
+    def test_audit_tav(self, tmp_path):
+        argv = ["audit", "tav", *self.TREE_ARGS, "--delta", "1/2", "--relaxed", "3"]
+        payload = self.report(tmp_path, argv, "tav")
+        assert [r["id"] for r in payload["rows"]] == ["j=0", "j=1", "node:j=1,i=1"]
+        assert (payload["checked"], payload["failed"]) == (3, 0)
+
+    def test_audit_domination(self, tmp_path):
+        paths = []
+        for c in (3, 5, 7, 4, 6, 8):
+            path = tmp_path / f"e{c}.vec"
+            path.write_text(f"{c}\t1\n")
+            paths.append(str(path))
+        argv = ["audit", "domination", "--space", "tsirelson", "--ys", *paths[:3],
+                "--zs", *paths[3:], "--trials", "5", "--seed", "1"]
+        payload = self.report(tmp_path, argv, "domination")
+        ((row,),) = [payload["rows"]]
+        assert row["id"] == "estimate" and row["ok"] is None
+        assert float(row["values"]["estimate"]) >= 1.0
+        assert (payload["checked"], payload["failed"], payload["seed"]) == (0, 0, 1)
+
+
 class TestDeterminism:
     def test_json_outputs_byte_identical(self, tmp_path):
         # same seed, two runs, byte-identical machine output
@@ -228,11 +295,8 @@ PUBLIC_NAMES = [
 
 
 def _loaded_modules(code):
-    """The tsirelson modules a fresh interpreter holds after running `code`."""
-    script = code + (
-        "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tsirelson'))))"
-    )
+    """The modules a fresh interpreter holds after running `code`."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(t.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
@@ -250,6 +314,14 @@ class TestStartup:
         assert "tsirelson.families" in loaded
         for name in ("norm", "spaces", "averages", "generators"):
             assert f"tsirelson.{name}" not in loaded
+
+    def test_kriv_runs_without_numpy(self):
+        loaded = _loaded_modules(
+            "from tsirelson.cli import run\n"
+            "assert run(['audit', 'kriv', '--count', '1', '--r', '1']) == 0"
+        )
+        assert "tsirelson.norm" in loaded
+        assert "numpy" not in loaded
 
     def test_cli_loads_audit(self):
         # tracing tools find the audit module through tsirelson.cli

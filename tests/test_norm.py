@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import tsirelson as t
 from tsirelson.errors import EmptyVector, SupportTooLarge
 from tsirelson.generators import random_vector
-from tsirelson.norm import _Engine, admissible_sum, brute_norm, norm
+from tsirelson.norm import _Engine, admissible_sum, brute_norm, flat_norm_table, norm
 from tsirelson.scalars import FLOAT64, close as scalar_close
 
 TSIRELSON = t.preset("tsirelson")
@@ -244,6 +244,14 @@ class TestLargeSupports:
         attained = t.eval_functional(spec, result.witness, x)
         assert scalar_close(attained, result.value, spec.exact)
         assert float(result.cutoff_bound) <= float(result.value) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("label", ("tzafriri:1/2", "geometric-a:1/2"))
+    def test_flat_table_matches_engine(self, label):
+        spec = t.preset(label)
+        table = flat_norm_table(spec, 33)
+        for size in range(1, 34):
+            flat = t.SparseVector(tuple((c, 1) for c in range(1, size + 1)))
+            assert table[size] == float(norm(spec, flat).value), size
 
 
 class TestEngineContract:
