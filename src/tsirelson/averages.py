@@ -555,11 +555,7 @@ def equal_norm_partition(
         if parts == 1:
             result = [(0, j)]
         elif parts == 2:
-            split = j - 1
-            for e in range(1, j):
-                if not d(e, j) > d(0, e):
-                    split = e
-                    break
+            split = _two_part_split(d, j)
             result = [(0, split), (split, j)]
         else:
             if d(parts - 1, j) < eps:
@@ -587,6 +583,22 @@ def equal_norm_partition(
             f"partition sweep missed the ratio bound: norms {[float(v) for v in norms]}"
         )
     return [coords[a:b] for a, b in parts]
+
+
+def _two_part_split(d, j: int) -> int:
+    """The first e in [1, j) with d(e, j) <= d(0, e), or j - 1 if none.
+
+    Restriction never raises the norm, so d(e, j) falls and d(0, e) rises
+    with e: the condition is monotone in e and bisection finds its first e.
+    """
+    lo, hi = 1, j - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if d(mid, j) > d(0, mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return hi
 
 
 def interval_norm_table(space: SpaceSpec, z: SparseVector):

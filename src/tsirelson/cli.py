@@ -247,17 +247,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tsirelson",
         description="norms, functionals and constructions in mixed Tsirelson spaces",
     )
-    parser.add_argument("--json", help="write machine-readable output to this path")
+    json_help = "write machine-readable output to this path"
+    parser.add_argument("--json", help=json_help)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--arithmetic", choices=["rational", "float64"])
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every subcommand also takes --json, and the seeded audits --seed, after
+    # its name.  SUPPRESS leaves an option that is not given out of the
+    # subcommand's namespace, so it cannot overwrite the global value.
+    with_json = argparse.ArgumentParser(add_help=False)
+    with_json.add_argument("--json", default=argparse.SUPPRESS, help=json_help)
+    with_seed = argparse.ArgumentParser(add_help=False, parents=[with_json])
+    with_seed.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
-    p_norm = sub.add_parser("norm", help="norm of a vector with witness")
+    p_norm = sub.add_parser(
+        "norm", help="norm of a vector with witness", parents=[with_json]
+    )
     p_norm.add_argument("--space", required=True)
     p_norm.add_argument("--vector", required=True)
     p_norm.set_defaults(func=_cmd_norm)
 
-    p_wit = sub.add_parser("witness", help="print the witness functional only")
+    p_wit = sub.add_parser(
+        "witness", help="print the witness functional only", parents=[with_json]
+    )
     p_wit.add_argument("--space", required=True)
     p_wit.add_argument("--vector", required=True)
     p_wit.set_defaults(func=_cmd_witness)
@@ -265,20 +277,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_fam = sub.add_parser("family", help="family membership and relatives")
     fam_sub = p_fam.add_subparsers(dest="family_cmd", required=True)
     for name in ("member", "decompose"):
-        q = fam_sub.add_parser(name)
+        q = fam_sub.add_parser(name, parents=[with_json])
         q.add_argument("--family", required=True)
         q.add_argument("--set", required=True)
         q.set_defaults(func=_cmd_family)
-    q = fam_sub.add_parser("admissible")
+    q = fam_sub.add_parser("admissible", parents=[with_json])
     q.add_argument("--family", required=True)
     q.add_argument("--sets", required=True, help="semicolon-separated sets")
     q.set_defaults(func=_cmd_family)
-    q = fam_sub.add_parser("maxweight")
+    q = fam_sub.add_parser("maxweight", parents=[with_json])
     q.add_argument("--family", required=True)
     q.add_argument("--weights", required=True, help="coord:weight,coord:weight,...")
     q.set_defaults(func=_cmd_family)
 
-    p_reg = sub.add_parser("regularize", help="regularized weight sequence")
+    p_reg = sub.add_parser(
+        "regularize", help="regularized weight sequence", parents=[with_json]
+    )
     p_reg.add_argument("--space", required=True)
     p_reg.add_argument("--horizon", type=int, required=True)
     p_reg.add_argument("--mode", choices=["product", "sum"])
@@ -286,18 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scc = sub.add_parser("scc", help="special convex combinations")
     scc_sub = p_scc.add_subparsers(dest="scc_cmd", required=True)
-    q = scc_sub.add_parser("build")
+    q = scc_sub.add_parser("build", parents=[with_json])
     q.add_argument("--level", type=int, required=True)
     q.add_argument("--epsilon", required=True)
     q.add_argument("--start", type=int, default=1)
     q.set_defaults(func=_cmd_scc)
-    q = scc_sub.add_parser("check")
+    q = scc_sub.add_parser("check", parents=[with_json])
     q.add_argument("--input", required=True, help="JSON file with the candidate")
     q.set_defaults(func=_cmd_scc)
 
     p_avg = sub.add_parser("avg", help="averaging trees")
     avg_sub = p_avg.add_subparsers(dest="avg_cmd", required=True)
-    q = avg_sub.add_parser("build")
+    q = avg_sub.add_parser("build", parents=[with_json])
     q.add_argument("--space", required=True)
     q.add_argument("--levels", type=int, required=True)
     q.add_argument("--epsilon", required=True)
@@ -305,17 +319,21 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--leaf-budget", type=int, default=100_000)
     q.add_argument("--out", help="serialize the tree to this JSON path")
     q.set_defaults(func=_cmd_audit, suite="avg")
-    q = avg_sub.add_parser("check")
+    q = avg_sub.add_parser("check", parents=[with_json])
     q.add_argument("--space", required=True)
     q.add_argument("--input", required=True, help="tree JSON from avg build --out")
     q.set_defaults(func=_cmd_audit, suite="avg")
 
-    p_split = sub.add_parser("split", help="split an auxiliary-space functional")
+    p_split = sub.add_parser(
+        "split", help="split an auxiliary-space functional", parents=[with_json]
+    )
     p_split.add_argument("--space", required=True)
     p_split.add_argument("--functional", required=True)
     p_split.set_defaults(func=_cmd_split)
 
-    p_cmp = sub.add_parser("comparable", help="rewrite comparably with blocks")
+    p_cmp = sub.add_parser(
+        "comparable", help="rewrite comparably with blocks", parents=[with_json]
+    )
     p_cmp.add_argument("--space", required=True)
     p_cmp.add_argument("--functional", required=True)
     p_cmp.add_argument("--blocks", nargs="+", required=True)
@@ -323,38 +341,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="quantitative bound audits")
     audit_sub = p_audit.add_subparsers(dest="suite", required=True)
-    q = audit_sub.add_parser("sch1")
+    q = audit_sub.add_parser("sch1", parents=[with_json])
     q.add_argument("--ground", type=int, default=12)
     q.set_defaults(func=_cmd_audit, suite="sch1")
-    q = audit_sub.add_parser("l3")
+    q = audit_sub.add_parser("l3", parents=[with_seed])
     q.add_argument("--level", type=int, default=2)
     q.add_argument("--trials", type=int, default=100)
-    q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=_cmd_audit, suite="l3")
-    q = audit_sub.add_parser("pest")
+    q = audit_sub.add_parser("pest", parents=[with_seed])
     q.add_argument("--space", default="tzafriri:1/2")
     q.add_argument("--trials", type=int, default=100)
-    q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=_cmd_audit, suite="pest")
-    q = audit_sub.add_parser("kriv")
+    q = audit_sub.add_parser("kriv", parents=[with_seed])
     q.add_argument("--space", default="tzafriri:1/2")
     q.add_argument("--count", type=int, default=1, help="number of blocks N")
     q.add_argument("--r", type=int, default=1)
-    q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=_cmd_audit, suite="kriv")
-    q = audit_sub.add_parser("tav")
+    q = audit_sub.add_parser("tav", parents=[with_json])
     q.add_argument("--space", default="geometric-s:1/2")
     q.add_argument("--levels", type=int, default=1)
     q.add_argument("--epsilon", default="1/2")
     q.add_argument("--delta", default="1/2")
     q.add_argument("--relaxed", type=int)
     q.set_defaults(func=_cmd_audit, suite="tav")
-    q = audit_sub.add_parser("domination")
+    q = audit_sub.add_parser("domination", parents=[with_seed])
     q.add_argument("--space", required=True)
     q.add_argument("--ys", nargs="+", required=True)
     q.add_argument("--zs", nargs="+", required=True)
     q.add_argument("--trials", type=int, default=50)
-    q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=_cmd_audit, suite="domination")
 
     return parser

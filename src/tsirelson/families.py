@@ -7,11 +7,20 @@ them are hereditary (closed under subsets), spreading (closed under
 coordinatewise right shifts) and compact, which is what the decision
 procedures below exploit.
 
-Membership is decided by greedy left-to-right peeling of maximal pieces.
-Correctness of the greedy rests on hereditarity and spreading: the greedy
-piece minima dominate (pointwise, after truncation) the minima of any valid
-decomposition, so if any decomposition witnesses membership the greedy one
-does too.  Tests certify this against a pure exhaustive search oracle.
+Membership is decided left to right by a pushed state: each family is
+compiled once into a transition program, and pushing an element onto the
+state of a member gives the state of the extended set, or None once that
+set is no member.  ``A_n`` counts free slots, ``S_1`` too (its first
+element e opens e slots), ``S_0`` is ``A_1`` and ``S_n`` is ``S_1[S_{n-1}]``.
+A composition ``M[N]`` keeps the M-state of the piece minima and the
+N-state of the last piece; an element extends that piece if it can, and
+otherwise opens a new piece whose minimum is pushed to the M-state.  This
+is greedy peeling of maximal pieces, done incrementally.  The greedy is
+correct by hereditarity and spreading: its piece minima dominate
+(pointwise, after truncation) the minima of any valid decomposition.  It is
+incremental by hereditarity: every earlier piece already failed to extend
+by its successor, so appending on the right can only lengthen the last
+piece.  Tests certify the states against an exhaustive search oracle.
 
 Sets are represented as tuples of strictly increasing positive integers
 (1-based coordinates, matching the sequence-space conventions); the empty
@@ -27,9 +36,7 @@ from .errors import NonSuccessive, ParseError, Unbounded
 
 FiniteSet = Tuple[int, ...]
 
-# Membership memo is bounded to small sets so exhaustive audits stay fast
-# without letting long consecutive runs blow up memory.
-_MEMO_MAX_LEN = 24
+# Always empty (membership keeps no memo); the benchmark worker reads its size.
 _member_memo: dict = {}
 
 
@@ -81,9 +88,9 @@ FamilyExpr = Union[An, Sn, Compose]
 
 
 def _cached_hash(family) -> int:
-    """The dataclass hash of the fields, computed once per instance: every
-    memo lookup hashes a family, and a nested composition would otherwise
-    rehash its whole tree each time."""
+    """The dataclass hash of the fields, computed once per instance: dict
+    lookups keyed by families (the norm engine's chain table) would otherwise
+    rehash a nested composition's whole tree each time."""
     try:
         return family.__dict__["_hash"]
     except KeyError:
@@ -130,81 +137,78 @@ def is_member(family: FamilyExpr, elements: Iterable[int]) -> bool:
     return _member(family, elems)
 
 
-def _member(family: FamilyExpr, elems: FiniteSet) -> bool:
-    if not elems:
-        return True
-    small = len(elems) <= _MEMO_MAX_LEN
-    key = (family, elems) if small else None
-    if small and key in _member_memo:
-        return _member_memo[key]
-    result = _member_raw(family, elems)
-    if small:
-        _member_memo[key] = result
-    return result
-
-
-def _member_raw(family: FamilyExpr, elems: FiniteSet) -> bool:
+def _program(family: FamilyExpr) -> tuple:
+    """The transition program ``(start, outer, inner)``, cached on the
+    instance.  A flat program (``outer`` None) counts free slots from
+    ``start``: n for ``A_n``, 1 for ``S_0`` and -1 for ``S_1``, whose first
+    element e opens e slots.  A composition starts at ``(outer start, None)``."""
+    try:
+        return family.__dict__["_program"]
+    except KeyError:
+        pass
     if isinstance(family, An):
-        return len(elems) <= family.n
-    if isinstance(family, Sn):
-        if family.n == 0:
-            return len(elems) <= 1
-        if family.n == 1:
-            return len(elems) <= elems[0]
-        return _greedy_pieces(Sn(family.n - 1), elems, budget=elems[0]) is not None
-    if isinstance(family, Compose):
-        pieces = _greedy_pieces(family.inner, elems, budget=None)
-        if pieces is None:
-            return False
-        minima = tuple(p[0] for p in pieces)
-        return _member(family.outer, minima)
-    raise TypeError(f"not a family: {family!r}")
+        prog = (family.n, None, None)
+    elif isinstance(family, Sn) and family.n < 2:
+        prog = (1 if family.n == 0 else -1, None, None)
+    elif isinstance(family, Sn):
+        prog = _program(Compose(Sn(1), Sn(family.n - 1)))
+    elif isinstance(family, Compose):
+        outer, inner = _program(family.outer), _program(family.inner)
+        prog = ((outer[0], None), outer, inner)
+    else:
+        raise TypeError(f"not a family: {family!r}")
+    family.__dict__["_program"] = prog
+    return prog
 
 
-def _max_prefix_len(family: FamilyExpr, elems: FiniteSet, start: int) -> int:
-    """Length of the longest prefix of elems[start:] that is a member.
-
-    Since families are hereditary the valid prefix lengths form an initial
-    segment, so exponential-then-binary search is sound.
-    """
-    remaining = len(elems) - start
-    if isinstance(family, An):
-        return min(family.n, remaining)
-    if isinstance(family, Sn) and family.n == 0:
-        return 1
-    if isinstance(family, Sn) and family.n == 1:
-        return min(elems[start], remaining)
-    lo = 1  # singletons belong to every family here
-    hi = 2
-    while hi <= remaining and _member(family, elems[start : start + hi]):
-        lo = hi
-        hi *= 2
-    hi = min(hi, remaining)
-    # invariant: prefix of length lo is a member, length hi+1 (if any) is not
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _member(family, elems[start : start + mid]):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+def _push(prog: tuple, state, e: int):
+    """The state of the set with ``e`` (above its maximum) appended, or None
+    when the extended set is not a member."""
+    _, outer, inner = prog
+    if outer is None:
+        if state > 0:
+            return state - 1
+        return e - 1 if state < 0 else None
+    minima, piece = state
+    if piece is not None:
+        piece = _push(inner, piece, e)
+        if piece is not None:
+            return minima, piece
+    minima = _push(outer, minima, e)
+    if minima is None:
+        return None
+    return minima, _push(inner, inner[0], e)
 
 
-def _greedy_pieces(inner: FamilyExpr, elems: FiniteSet, budget):
-    """Peel maximal inner-family pieces left to right.
-
-    Returns the piece tuple, or None when a piece budget is given and
-    exceeded.  With ``budget=None`` the peeling always succeeds and the
-    caller checks the minima separately.
-    """
-    pieces = []
-    pos = 0
-    while pos < len(elems):
-        if budget is not None and len(pieces) >= budget:
+def _fold(prog: tuple, elems: FiniteSet):
+    """The state of ``elems``, or None when it is not a member."""
+    state = prog[0]
+    for e in elems:
+        state = _push(prog, state, e)
+        if state is None:
             return None
-        length = _max_prefix_len(inner, elems, pos)
-        pieces.append(elems[pos : pos + length])
-        pos += length
+    return state
+
+
+def _member(family: FamilyExpr, elems: FiniteSet) -> bool:
+    return _fold(_program(family), elems) is not None
+
+
+def _greedy_pieces(inner: FamilyExpr, elems: FiniteSet) -> Tuple[FiniteSet, ...]:
+    """Peel maximal inner-family pieces left to right: push each element
+    onto the current piece until the first refusal, which opens the next."""
+    prog = _program(inner)
+    pieces = []
+    first = 0
+    state = prog[0]
+    for pos, e in enumerate(elems):
+        state = _push(prog, state, e)
+        if state is None:
+            pieces.append(elems[first:pos])
+            first = pos
+            state = _push(prog, prog[0], e)
+    if elems:
+        pieces.append(elems[first:])
     return tuple(pieces)
 
 
@@ -242,15 +246,10 @@ def _decompose_member(family: FamilyExpr, elems: FiniteSet) -> Decomposition:
         return Decomposition(family, elems, None)
     if isinstance(family, An) or (isinstance(family, Sn) and family.n == 0):
         return Decomposition(family, elems, None)
-    if isinstance(family, Sn):
-        inner = Sn(family.n - 1)
-        pieces = _greedy_pieces(inner, elems, budget=elems[0])
-        return Decomposition(
-            family, elems, tuple(_decompose_member(inner, p) for p in pieces)
-        )
-    pieces = _greedy_pieces(family.inner, elems, budget=None)
+    inner = Sn(family.n - 1) if isinstance(family, Sn) else family.inner
+    pieces = _greedy_pieces(inner, elems)
     return Decomposition(
-        family, elems, tuple(_decompose_member(family.inner, p) for p in pieces)
+        family, elems, tuple(_decompose_member(inner, p) for p in pieces)
     )
 
 
@@ -276,17 +275,20 @@ def max_weight_subset(family: FamilyExpr, weights: Mapping[int, object]):
         ):
             best_set, best_value = candidate, value
 
-    def extend(current: FiniteSet, value, start_idx: int):
+    prog = _program(family)
+
+    def extend(current: FiniteSet, state, value, start_idx: int):
         for idx in range(start_idx, len(coords)):
             c = coords[idx]
-            cand = current + (c,)
-            if not _member(family, cand):
+            cand_state = _push(prog, state, c)
+            if cand_state is None:
                 continue
+            cand = current + (c,)
             cand_value = value + weights[c]
             consider(cand, cand_value)
-            extend(cand, cand_value, idx + 1)
+            extend(cand, cand_state, cand_value, idx + 1)
 
-    extend((), 0, 0)
+    extend((), prog[0], 0, 0)
     return best_set, best_value
 
 
@@ -305,40 +307,36 @@ def maximal_member(family: FamilyExpr, start: int) -> FiniteSet:
     if size > _MAXIMAL_GUARD:
         raise Unbounded(f"maximal consecutive member from {start} exceeds guard")
     run = tuple(range(start, start + size))
-    if not _member(family, run) or _member(family, run + (start + size,)):
+    prog = _program(family)
+    state = _fold(prog, run)
+    if state is None or _push(prog, state, start + size) is not None:
         raise Unbounded(f"greedy packing failed for {family} from {start}")
     return run
 
 
 def _max_run(family: FamilyExpr, start: int) -> int:
     """Size of the maximal consecutive run from ``start`` inside the family."""
+    if isinstance(family, Sn) and family.n >= 2:
+        family = Compose(Sn(1), Sn(family.n - 1))
+    if isinstance(family, Compose):
+        outer = _program(family.outer)
+        minima = outer[0]
+        pos = start
+        while True:
+            minima = _push(outer, minima, pos)
+            if minima is None:
+                return pos - start
+            pos += _max_run(family.inner, pos)
+            if pos - start > _MAXIMAL_GUARD:
+                raise Unbounded("consecutive run exceeds guard")
     if isinstance(family, An):
         return family.n
     if isinstance(family, Sn):
         if family.n == 0:
             return 1
-        if family.n == 1:  # a run of S_1 from `start` has `start` elements
-            if start > _MAXIMAL_GUARD:
-                raise Unbounded("consecutive run exceeds guard")
-            return start
-        inner = Sn(family.n - 1)
-        pos = start
-        for _ in range(start):  # at most `start` pieces
-            pos += _max_run(inner, pos)
-            if pos - start > _MAXIMAL_GUARD:
-                raise Unbounded("consecutive run exceeds guard")
-        return pos - start
-    if isinstance(family, Compose):
-        pos = start
-        minima = []
-        while True:
-            if not _member(family.outer, tuple(minima + [pos])):
-                break
-            minima.append(pos)
-            pos += _max_run(family.inner, pos)
-            if pos - start > _MAXIMAL_GUARD:
-                raise Unbounded("consecutive run exceeds guard")
-        return pos - start
+        if start > _MAXIMAL_GUARD:  # a run of S_1 from `start` has `start` elements
+            raise Unbounded("consecutive run exceeds guard")
+        return start
     raise TypeError(f"not a family: {family!r}")
 
 
@@ -381,13 +379,13 @@ def family_members(family: FamilyExpr, ground: int):
 
     Used by the exhaustive audits; ground stays small by contract.
     """
-    coords = list(range(1, ground + 1))
+    prog = _program(family)
 
-    def extend(current: FiniteSet, start_idx: int):
+    def extend(current: FiniteSet, state, first: int):
         yield current
-        for idx in range(start_idx, len(coords)):
-            cand = current + (coords[idx],)
-            if _member(family, cand):
-                yield from extend(cand, idx + 1)
+        for e in range(first, ground + 1):
+            cand_state = _push(prog, state, e)
+            if cand_state is not None:
+                yield from extend(current + (e,), cand_state, e + 1)
 
-    yield from extend((), 0)
+    yield from extend((), prog[0], 1)

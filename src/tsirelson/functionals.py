@@ -406,13 +406,6 @@ def _leaf_sign_map(f: TreeFunctional) -> dict:
     return signs
 
 
-def _block_of(coord: int, block_ranges) -> Optional[int]:
-    for i, (lo, hi) in enumerate(block_ranges):
-        if lo <= coord <= hi:
-            return i
-    return None
-
-
 def _partial_blocks(sup, block_ranges, block_supports, global_support):
     """Blocks whose range the support meets without satisfying any clause."""
     out = []

@@ -140,6 +140,23 @@ class TestKriv:
         with pytest.raises(BudgetExceeded):
             au.audit_kriv(SCHLUMPRECHT, 3, 1, seed=0, relax="exact")
 
+    def test_oversized_flat_table_refused_before_any_work(self, monkeypatch):
+        # N = 1, r = 2 plans one block of length 260,101, inside the leaf
+        # budget; its table would hold about 3.4e10 floats
+        import importlib
+
+        from tsirelson.errors import BudgetExceeded
+
+        norm_mod = importlib.import_module("tsirelson.norm")
+
+        def no_table(space, max_len):
+            raise AssertionError(f"flat_norm_table({max_len}) was started")
+
+        monkeypatch.setattr(norm_mod, "flat_norm_table", no_table)
+        with pytest.raises(BudgetExceeded, match="260101"):
+            au.audit_kriv(SCHLUMPRECHT, 1, 2)
+        assert au.FLAT_TABLE_MAX_LEN >= 511  # criterion 10 and the N = 1 tests reach 511
+
 
 class TestReports:
     def test_deterministic_json(self):

@@ -220,6 +220,16 @@ class TestEqualNormPartition:
             assert min(norms) >= (1 - delta) * max(norms)
 
 
+    def test_bisected_split_matches_the_linear_scan(self, rng):
+        for m, delta in ((2, Fraction(1, 2)), (2, Fraction(1, 4)), (3, Fraction(1, 2))):
+            for _ in range(3):
+                z = random_partition_instance(rng, TSIRELSON, m, delta)
+                _, d = av.interval_norm_table(TSIRELSON, z)
+                for j in [*range(1, len(z), 9), len(z)]:
+                    linear = next((e for e in range(1, j) if not d(e, j) > d(0, e)), j - 1)
+                    assert av._two_part_split(d, j) == linear, (z.entries, j)
+
+
 class TestC0Associate:
     def test_single_leaf_parts(self):
         x, const = av.c0_average_associate(

@@ -257,6 +257,37 @@ class TestDeterminism:
         assert payload["value"] == "3/2"
 
 
+class TestOptionPositions:
+    """``--json`` and an audit's ``--seed`` work before or after the subcommand."""
+
+    L3 = ["audit", "l3", "--level", "2", "--trials", "3"]
+
+    def test_seed_reaches_the_report_in_both_positions(self, tmp_path):
+        out = tmp_path / "o.json"
+        for argv in (
+            ["--seed", "5", "--json", str(out), *self.L3],
+            ["--json", str(out), *self.L3, "--seed", "5"],
+            [*self.L3, "--seed", "5", "--json", str(out)],
+        ):
+            assert run(argv) == 0
+            assert json.loads(out.read_text())["seed"] == 5, argv
+        assert run(["--json", str(out), *self.L3]) == 0
+        assert json.loads(out.read_text())["seed"] == 0
+
+    def test_json_after_the_subcommand_is_byte_identical(self, tmp_path):
+        vec = tmp_path / "x.vec"
+        vec.write_text("3\t2/3\n4\t2/3\n5\t2/3\n")
+        for argv in (
+            ["norm", "--space", "tsirelson", "--vector", str(vec)],
+            ["family", "decompose", "--family", "S2", "--set", "2,3,4,6,7,8"],
+            ["audit", "sch1", "--ground", "8"],
+        ):
+            before, after = tmp_path / "before.json", tmp_path / "after.json"
+            assert run(["--json", str(before), *argv]) == 0
+            assert run([*argv, "--json", str(after)]) == 0
+            assert before.read_bytes() == after.read_bytes(), argv
+
+
 class TestConsoleScript:
     def test_module_entry_point(self, tmp_path):
         vec = tmp_path / "x.vec"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -49,11 +50,43 @@ class TestMembership:
             t.Compose(t.An(2), t.Sn(1)),
             t.Compose(t.Sn(2), t.An(2)),
             t.Compose(t.Compose(t.Sn(1), t.An(2)), t.An(2)),
+            t.Sn(3),
+            t.Compose(t.Sn(2), t.Sn(1)),
+            t.Compose(t.An(3), t.Compose(t.Sn(1), t.An(2))),
+            t.Compose(t.Compose(t.Sn(2), t.An(2)), t.An(3)),
         ):
             assert t.is_member(fam, elems) == exhaustive_member(fam, elems), (
                 fam,
                 elems,
             )
+
+    @pytest.mark.parametrize(
+        "text", ["A2", "S0", "S1", "S2", "S3", "A2[S1]", "S2[S1]", "A3[S1[A2]]", "S2[A2][A3]"]
+    )
+    def test_family_members_match_exhaustive_filter(self, text):
+        fam = t.parse_family(text)
+        for g in range(10):
+            subsets = [
+                elems
+                for size in range(g + 1)
+                for elems in combinations(range(1, g + 1), size)
+                if exhaustive_member(fam, elems)
+            ]
+            assert sorted(family_members(fam, g)) == sorted(subsets), (text, g)
+
+    def test_long_set(self):
+        # the greedy S_1 pieces double in length from 1,000: seven pieces,
+        # well inside the S_2 budget of 1,000 set by the first element
+        elems = tuple(range(1000, 101_000))
+        assert t.is_member(t.Sn(2), elems)
+        assert not t.is_member(t.Sn(2), (2,) + elems)
+        assert not t.is_member(t.Sn(1), elems)
+
+    def test_no_memo_after_an_audit(self):
+        from tsirelson.audit import audit_sch1_grid
+
+        audit_sch1_grid(12)
+        assert families._member_memo == {}
 
 
 class TestRegularityLaws:
@@ -139,6 +172,23 @@ class TestMaxWeight:
         subset, value = t.max_weight_subset(t.An(2), {1: 1, 2: 1, 3: 1})
         assert value == 2
         assert subset == (1, 2)
+
+    @pytest.mark.parametrize("text", ["A2", "S1", "S2", "A2[S1]", "S1[A2]", "S2[A2][A3]"])
+    def test_matches_brute_force(self, text):
+        fam = t.parse_family(text)
+        rng = random.Random(text)
+        for _ in range(40):
+            coords = rng.sample(range(1, 12), rng.randint(0, 8))
+            weights = {c: Fraction(rng.randint(0, 6), rng.randint(1, 3)) for c in coords}
+            support = sorted(c for c in coords if weights[c] > 0)
+            # the largest weight, then the smallest size, then the lexicographically first set
+            best = min(
+                (-sum(weights[c] for c in elems), len(elems), elems)
+                for size in range(len(support) + 1)
+                for elems in combinations(support, size)
+                if exhaustive_member(fam, elems)
+            )
+            assert t.max_weight_subset(fam, weights) == (best[2], -best[0]), (text, weights)
 
 
 class TestMaximalMember:
