@@ -496,21 +496,19 @@ def audit_pest(space: SpaceSpec, instances: int, seed: int) -> AuditReport:
 
 def _random_group_cut(space, rng, f: TreeFunctional):
     """Random antichain cut: (gamma_n, J_n) with J_n the full child sets of
-    the cut nodes, gammas the root-to-node weight products (node included)."""
+    the cut nodes, gammas the root-to-node weight products (node included).
+    Nodes are visited in pre-order, each drawing at most once."""
     from .functionals import Leaf, Node
 
     if isinstance(f, Leaf):
         return []
     groups = []
-
-    def rec(node: Node, gamma: float):
+    stack = [(f, 1.0)]
+    while stack:
+        node, gamma = stack.pop()
         g = gamma * float(space.theta_for_index(node.weight_index))
-        can_descend = all(isinstance(c, Node) for c in node.children)
-        if can_descend and rng.random() < 0.5:
-            for c in node.children:
-                rec(c, g)
+        if all(isinstance(c, Node) for c in node.children) and rng.random() < 0.5:
+            stack.extend((c, g) for c in reversed(node.children))
         else:
             groups.append((g, node.children))
-
-    rec(f, 1.0)
     return groups

@@ -24,7 +24,7 @@ from .errors import (
     SupportTooLarge,
     TsirelsonError,
 )
-from .functionals import TreeFunctional, _leaf_sign_map, eval_functional, support
+from .functionals import TreeFunctional, eval_functional, leaves, support
 from .norm import _Engine, admissible_sum, norm
 from .scalars import close, leq
 from .spaces import SpaceSpec, derived_params
@@ -525,23 +525,24 @@ def equal_norm_partition(
     Constructive prefix sweep: partitions of every prefix into m-1 pieces
     are refined along the sign change of ||tail|| - max piece norm; the
     hypothesis ||z|| >= 1/2 and ||z||_inf < delta/(8 m^2) makes the additive
-    norm gaps small relative to the largest piece.
+    norm gaps small relative to the largest piece.  Its sup-norm half is
+    checked first, before the interval table is filled.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if not (0 < float(delta) < 1):
         raise ValueError("delta must lie in (0,1)")
-    coords, d = interval_norm_table(space, z)
-    J = len(coords)
-    total = d(0, J)
     eps = z.sup_norm()
     bound = (Fraction(delta) if space.exact else float(delta)) / (8 * m * m)
-    if not total >= (Fraction(1, 2) if space.exact else 0.5):
-        raise HypothesisViolated(f"need ||z|| >= 1/2, got {float(total)}")
     if not eps < bound:
         raise HypothesisViolated(
             f"need ||z||_inf < delta/(8 m^2) = {float(bound)}, got {float(eps)}"
         )
+    coords, d = interval_norm_table(space, z)
+    J = len(coords)
+    total = d(0, J)
+    if not total >= (Fraction(1, 2) if space.exact else 0.5):
+        raise HypothesisViolated(f"need ||z|| >= 1/2, got {float(total)}")
     if m == 1:
         return [coords]
 
@@ -679,7 +680,7 @@ def c0_average_associate(space: SpaceSpec, f_parts: Sequence[TreeFunctional]):
             raise SupportTooLarge(
                 f"coordinate search handles supports up to {C0_SUPPORT_BOUND}"
             )
-        signs = _leaf_sign_map(f)
+        signs = {g.coordinate: g.sign for g in leaves(f)}
         best_ratio = None
         best_vec = None
         for mask in range(1, 1 << len(sup)):

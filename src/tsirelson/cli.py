@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / all checks pass, 1 audit failure or violated
-mathematical hypothesis, 2 usage or parse error.  All output is
+mathematical hypothesis, 2 usage or parse error or an input over a size
+budget (``errors.OverBudget``).  All output is
 deterministic given the inputs and ``--seed``; ``--json`` writes the
 machine-readable record.
 """
@@ -19,7 +20,7 @@ from fractions import Fraction
 # package.  ``audit`` stays at module scope: tracing tools that wrap the
 # package's functions find the loaded modules through ``tsirelson.cli``.
 from . import audit as audit_mod
-from .errors import HypothesisViolated, ParseError, TsirelsonError
+from .errors import HypothesisViolated, OverBudget, ParseError, TsirelsonError
 from .scalars import render_scalar
 
 
@@ -382,7 +383,7 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, OverBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HypothesisViolated as exc:

@@ -40,7 +40,11 @@ class EmptyVector(TsirelsonError):
     """An operation that needs a nonzero vector received an empty one."""
 
 
-class SupportTooLarge(TsirelsonError):
+class OverBudget(TsirelsonError):
+    """Input refused because it exceeds a documented size budget."""
+
+
+class SupportTooLarge(OverBudget):
     """Input support exceeds the documented bound for an exhaustive routine."""
 
 
@@ -60,7 +64,7 @@ class PoolExhausted(InsufficientPool):
     """Generator pool stopped while an averaging tree was being built."""
 
 
-class SizeOverflow(TsirelsonError):
+class SizeOverflow(OverBudget):
     """A construction would exceed its configured leaf budget."""
 
 
@@ -72,7 +76,7 @@ class LengthMismatch(TsirelsonError):
     """Two block sequences that must have equal length do not."""
 
 
-class GroundTooLarge(TsirelsonError):
+class GroundTooLarge(OverBudget):
     """Exhaustive enumeration requested beyond the documented ground bound."""
 
 

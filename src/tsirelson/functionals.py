@@ -21,7 +21,8 @@ The surgery operations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import families
 from .errors import InvalidInput, ParseError, SurgeryFailed
@@ -56,30 +57,69 @@ class Node:
 TreeFunctional = Union[Leaf, Node]
 
 
+def _children(g):
+    return None if isinstance(g, Leaf) else g.children
+
+
+def fold(f, leaf: Callable, node: Callable, children: Callable = _children):
+    """Post-order fold over a tree without recursion: ``leaf(l)`` at each
+    leaf, ``node(n, results)`` at each node with its children's results in
+    order; returns the root's result.  ``children(g)`` gives the children of
+    g, None at a leaf: by default those of a ``TreeFunctional``, otherwise
+    of a tree that is built as it is walked."""
+    kids = children(f)
+    if kids is None:
+        return leaf(f)
+    stack = [(f, iter(kids), [])]
+    while True:
+        g, pending, results = stack[-1]
+        for child in pending:
+            kids = children(child)
+            if kids is None:
+                results.append(leaf(child))
+            else:
+                stack.append((child, iter(kids), []))
+                break
+        else:
+            stack.pop()
+            value = node(g, results)
+            if not stack:
+                return value
+            stack[-1][2].append(value)
+
+
+def leaves(f: TreeFunctional) -> Iterator[Leaf]:
+    """The leaves of f, left to right."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Leaf):
+            yield g
+        else:
+            stack.extend(reversed(g.children))
+
+
 def support(f: TreeFunctional) -> Tuple[int, ...]:
-    if isinstance(f, Leaf):
-        return (f.coordinate,)
-    out: List[int] = []
-    for child in f.children:
-        out.extend(support(child))
-    return tuple(out)
+    return tuple(leaf.coordinate for leaf in leaves(f))
+
+
+def _rebuild(g: Node, children) -> Node:
+    return Node(g.weight_index, tuple(children))
 
 
 def eval_functional(space: SpaceSpec, f: TreeFunctional, x: SparseVector):
-    """Recursive evaluation: a leaf picks a signed coordinate of x, a node
-    multiplies the sum of its children by its weight."""
+    """A leaf picks a signed coordinate of x, a node multiplies the sum of
+    its children, added left to right from zero, by its weight."""
     lookup = dict(x.entries)
     zero = 0 if space.exact else 0.0
 
-    def rec(g: TreeFunctional):
-        if isinstance(g, Leaf):
-            return g.sign * lookup.get(g.coordinate, zero)
+    def node(g: Node, values):
         total = zero
-        for child in g.children:
-            total = total + rec(child)
+        for value in values:
+            total = total + value
         return space.theta_for_index(g.weight_index) * total
 
-    return rec(f)
+    return fold(f, lambda g: g.sign * lookup.get(g.coordinate, zero), node)
 
 
 @dataclass(frozen=True)
@@ -88,33 +128,46 @@ class Violation:
     reason: str
 
 
+def _checks(space: SpaceSpec):
+    """Fold callbacks behind ``validate``: a subtree folds to its end leaf
+    coordinates and its violations in pre-order, as (reversed path list,
+    reason).  A node with an unavailable index or overlapping children
+    reports only that; a membership test that raises is held as a reason,
+    which such a node above drops."""
+    top = space.max_index()
+
+    def node(g: Node, kids):
+        first, last = kids[0][0], kids[-1][1]
+        if top is not None and g.weight_index > top:
+            return first, last, [([], f"weight index {g.weight_index} not available")]
+        for a, b in zip(kids, kids[1:]):
+            if a[1] >= b[0]:
+                return first, last, [([], "children supports not successive")]
+        minima = tuple(kid[0] for kid in kids)
+        fam = space.family_for_index(g.weight_index)
+        out = []
+        try:
+            if not families.is_member(fam, minima):
+                out.append(([], f"children minima {minima} not a member of {fam}"))
+        except ValueError as exc:
+            out.append(([], exc))
+        for i, (_, _, below) in enumerate(kids):
+            for path, _ in below:
+                path.append(i)
+            out.extend(below)
+        return first, last, out
+
+    return (lambda g: (g.coordinate, g.coordinate, [])), node
+
+
 def validate(space: SpaceSpec, f: TreeFunctional) -> List[Violation]:
     """Structured admissibility check; an empty list means the functional is
     in the norming set of the space."""
-    out: List[Violation] = []
-
-    def rec(g: TreeFunctional, path: Tuple[int, ...]):
-        if isinstance(g, Leaf):
-            return
-        if space.max_index() is not None and g.weight_index > space.max_index():
-            out.append(Violation(path, f"weight index {g.weight_index} not available"))
-            return
-        supports = [support(c) for c in g.children]
-        for a, b in zip(supports, supports[1:]):
-            if a[-1] >= b[0]:
-                out.append(Violation(path, "children supports not successive"))
-                return
-        minima = tuple(s[0] for s in supports)
-        fam = space.family_for_index(g.weight_index)
-        if not families.is_member(fam, minima):
-            out.append(
-                Violation(path, f"children minima {minima} not a member of {fam}")
-            )
-        for i, child in enumerate(g.children):
-            rec(child, path + (i,))
-
-    rec(f, ())
-    return out
+    found = fold(f, *_checks(space))[2]
+    for _, reason in found:
+        if isinstance(reason, ValueError):
+            raise reason
+    return [Violation(tuple(reversed(path)), reason) for path, reason in found]
 
 
 def restrict_functional(f: TreeFunctional, coords) -> Optional[TreeFunctional]:
@@ -125,59 +178,20 @@ def restrict_functional(f: TreeFunctional, coords) -> Optional[TreeFunctional]:
     """
     keep = set(coords)
 
-    def rec(g: TreeFunctional) -> Optional[TreeFunctional]:
-        if isinstance(g, Leaf):
-            return g if g.coordinate in keep else None
-        kept = tuple(c for c in (rec(ch) for ch in g.children) if c is not None)
-        if not kept:
-            return None
-        return Node(g.weight_index, kept)
+    def node(g: Node, kids):
+        kept = [c for c in kids if c is not None]
+        return _rebuild(g, kept) if kept else None
 
-    return rec(f)
-
-
-def cover_map(
-    f: TreeFunctional, blocks: Sequence[SparseVector]
-) -> dict:
-    """For each block index, the path to the node covering it: the deepest
-    tree element whose support contains every point the functional's support
-    shares with the block (None when they are disjoint)."""
-    out = {}
-    global_support = set(support(f))
-    for idx, block in enumerate(blocks):
-        w_n = set(block.support) & global_support
-        out[idx] = _covering_path(f, w_n) if w_n else None
-    return out
-
-
-def node_supports(f: TreeFunctional) -> List[Tuple[int, ...]]:
-    """Supports of every element of the tree-analysis, root included."""
-    out: List[Tuple[int, ...]] = []
-
-    def rec(g: TreeFunctional):
-        out.append(support(g))
-        if isinstance(g, Node):
-            for c in g.children:
-                rec(c)
-
-    rec(f)
-    return out
+    return fold(f, lambda g: g if g.coordinate in keep else None, node)
 
 
 def is_comparable(f: TreeFunctional, blocks: Sequence[SparseVector]) -> bool:
     """Three-way condition: each node support lies inside one block's range,
     or contains all the functional's support points of every block it meets,
     or meets no block range at all."""
-    for a, b in zip(blocks, blocks[1:]):
-        if not a < b:
-            raise ValueError("blocks must be successive")
-    block_ranges = [b.range() for b in blocks]
-    block_supports = [set(b.support) for b in blocks]
-    global_support = set(support(f))
-    return not any(
-        _partial_blocks(sup, block_ranges, block_supports, global_support)
-        for sup in node_supports(f)
-    )
+    if any(not a < b for a, b in zip(blocks, blocks[1:])):
+        raise ValueError("blocks must be successive")
+    return not _partially_met(f, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +199,16 @@ def is_comparable(f: TreeFunctional, blocks: Sequence[SparseVector]) -> bool:
 
 
 def format_functional(f: TreeFunctional) -> str:
-    if isinstance(f, Leaf):
-        return f"(l {'+' if f.sign > 0 else '-'} {f.coordinate})"
-    inner = " ".join(format_functional(c) for c in f.children)
-    return f"(n {f.weight_index} {inner})"
+    return fold(
+        f,
+        lambda g: f"(l {'+' if g.sign > 0 else '-'} {g.coordinate})",
+        lambda g, inner: f"(n {g.weight_index} {' '.join(inner)})",
+    )
 
 
 # Deepest nesting ``parse_functional`` accepts (a leaf alone has depth 1).
-# The tree walks recurse, so deeper input is a parse error, not a
-# RecursionError; a norm witness on m coordinates has depth at most m.
+# The parser recurses once per level, so deeper input is a parse error, not
+# a RecursionError; a norm witness on m coordinates has depth at most m.
 MAX_FUNCTIONAL_DEPTH = 200
 
 
@@ -261,7 +276,8 @@ def split_xk(space: SpaceSpec, f: TreeFunctional) -> List[TreeFunctional]:
     """Split a functional valid in the inner-A_k auxiliary space into at most
     k+1 successive functionals valid in the plain space, summing to it.
 
-    The regrouping decomposes the collected child-part minima inside
+    Subtrees valid in the plain space are kept whole.  At any other node the
+    regrouping decomposes the collected child-part minima inside
     A_{k+1}[S_n] (possible because k(k+1) < 2^{k+1}) and wraps each group
     under the original weight.
     """
@@ -271,40 +287,28 @@ def split_xk(space: SpaceSpec, f: TreeFunctional) -> List[TreeFunctional]:
     if validate(space, f):
         raise InvalidInput("functional is not valid in the auxiliary space")
     plain = space.with_inner_ak(None)
-    parts = _split_rec(space, plain, k, f)
+    check_leaf, check_node = _checks(plain)
+
+    def node(g: Node, kids):
+        checked = check_node(g, [c for c, _ in kids])
+        if not checked[2]:
+            return checked, [g]
+        parts = [p for _, split in kids for p in split]
+        minima = tuple(next(leaves(p)).coordinate for p in parts)
+        grouping = families.Compose(families.An(k + 1), plain.family_for_index(g.weight_index))
+        witness = families.decompose(grouping, minima)
+        if witness is None:
+            raise SurgeryFailed(
+                f"minima {minima} admit no A_{k + 1}-regrouping at level {g.weight_index}"
+            )
+        rest = iter(parts)
+        return checked, [_rebuild(g, islice(rest, len(piece))) for piece in witness.piece_sets()]
+
+    parts = fold(f, lambda g: (check_leaf(g), [g]), node)[1]
     for part in parts:
         if validate(plain, part):
             raise SurgeryFailed("split produced an invalid part")
     return parts
-
-
-def _base_family(space: SpaceSpec, n: int) -> families.FamilyExpr:
-    """The level-n family of the plain space (no inner A_k)."""
-    return space.with_inner_ak(None).family_for_index(n)
-
-
-def _split_rec(space: SpaceSpec, plain: SpaceSpec, k: int, f: TreeFunctional) -> List[TreeFunctional]:
-    if isinstance(f, Leaf):
-        return [f]
-    if not validate(plain, f):
-        return [f]
-    all_parts: List[TreeFunctional] = []
-    for child in f.children:
-        all_parts.extend(_split_rec(space, plain, k, child))
-    minima = tuple(support(p)[0] for p in all_parts)
-    grouping = families.Compose(families.An(k + 1), _base_family(space, f.weight_index))
-    witness = families.decompose(grouping, minima)
-    if witness is None:
-        raise SurgeryFailed(
-            f"minima {minima} admit no A_{k + 1}-regrouping at level {f.weight_index}"
-        )
-    groups: List[TreeFunctional] = []
-    idx = 0
-    for piece in witness.piece_sets():
-        group = all_parts[idx : idx + len(piece)]
-        idx += len(piece)
-        groups.append(Node(f.weight_index, tuple(group)))
-    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +318,7 @@ def _split_rec(space: SpaceSpec, plain: SpaceSpec, k: int, f: TreeFunctional) ->
 def negate_functional(f: TreeFunctional) -> TreeFunctional:
     """Flip every leaf sign; the norming set is symmetric, so validity and
     comparability are preserved and the evaluation changes sign."""
-    if isinstance(f, Leaf):
-        return Leaf(-f.sign, f.coordinate)
-    return Node(f.weight_index, tuple(negate_functional(c) for c in f.children))
+    return fold(f, lambda g: Leaf(-g.sign, g.coordinate), _rebuild)
 
 
 def make_comparable(
@@ -332,9 +334,8 @@ def make_comparable(
     """
     if validate(space, f):
         raise InvalidInput("make_comparable needs a valid functional")
-    for a, b in zip(blocks, blocks[1:]):
-        if not a < b:
-            raise InvalidInput("blocks must be successive")
+    if any(not a < b for a, b in zip(blocks, blocks[1:])):
+        raise InvalidInput("blocks must be successive")
     if not blocks:
         raise InvalidInput("need at least one block")
     v = sum_vectors(blocks)
@@ -345,19 +346,14 @@ def make_comparable(
     if is_comparable(work, blocks):
         return work
     constant = comparability_constant(space)
-    block_support = set()
-    for b in blocks:
-        block_support |= set(b.support)
-    restricted = restrict_functional(work, block_support)
+    restricted = restrict_functional(work, {c for b in blocks for c in b.support})
     if restricted is not None:
         # drop leaves acting against v: a valid restriction that only raises
         # the value and makes every chunk's action nonnegative, which is the
         # setting in which the split/erase accounting certifies the constant
         lookup = dict(v.entries)
         keep = {
-            c
-            for c, sign in _leaf_sign_map(restricted).items()
-            if sign * lookup.get(c, 0) > 0
+            g.coordinate for g in leaves(restricted) if g.sign * lookup.get(g.coordinate, 0) > 0
         }
         restricted = restrict_functional(restricted, keep)
     if restricted is None:
@@ -392,34 +388,51 @@ def _degenerate_comparable(blocks: Sequence[SparseVector]) -> TreeFunctional:
     return Leaf(1 if value >= 0 else -1, coord)
 
 
-def _leaf_sign_map(f: TreeFunctional) -> dict:
-    signs: dict = {}
+def _partial_blocks(lo, hi, block_ranges, covers) -> List[int]:
+    """Blocks whose range a support with ends lo, hi meets without lying
+    inside it, and whose global-support points it does not all contain
+    (``covers(i)`` is false)."""
+    return [
+        i
+        for i, (blo, bhi) in enumerate(block_ranges)
+        if not (hi < blo or lo > bhi)  # ranges meet
+        and not (lo >= blo and hi <= bhi)  # not inside the block's range
+        and not covers(i)
+    ]
 
-    def rec(g):
-        if isinstance(g, Leaf):
-            signs[g.coordinate] = g.sign
-        else:
-            for c in g.children:
-                rec(c)
 
-    rec(f)
-    return signs
+def _partially_met(f: TreeFunctional, blocks) -> set:
+    """Indices of the blocks that some element of f meets partially, in one
+    pass: each subtree folds to its end coordinates and, per block, the
+    block points it holds (merged smaller into larger)."""
+    block_ranges = [b.range() for b in blocks]
+    global_support = set(support(f))
+    targets = [set(b.support) & global_support for b in blocks]
+    owner = {c: i for i, points in enumerate(targets) for c in points}
+    bad: set = set()
 
+    def leaf(g: Leaf):
+        i = owner.get(g.coordinate)
+        return g.coordinate, g.coordinate, {} if i is None else {i: {g.coordinate}}
 
-def _partial_blocks(sup, block_ranges, block_supports, global_support):
-    """Blocks whose range the support meets without satisfying any clause."""
-    out = []
-    lo, hi = sup[0], sup[-1]
-    sup_set = set(sup)
-    for i, ((blo, bhi), bsupp) in enumerate(zip(block_ranges, block_supports)):
-        if hi < blo or lo > bhi:
-            continue  # ranges disjoint
-        if lo >= blo and hi <= bhi:
-            continue  # inside the block's range
-        if (bsupp & global_support) <= sup_set:
-            continue  # contains every global-support point of the block
-        out.append(i)
-    return out
+    def node(g: Node, kids):
+        held: dict = {}
+        for _, _, points in kids:
+            for i, pts in points.items():
+                have = held.setdefault(i, pts)
+                if have is not pts:
+                    if len(have) < len(pts):
+                        have, pts = pts, have
+                        held[i] = have
+                    have |= pts
+        lo, hi = kids[0][0], kids[-1][1]
+        bad.update(_partial_blocks(
+            lo, hi, block_ranges, lambda i: len(held.get(i, ())) == len(targets[i])
+        ))
+        return lo, hi, held
+
+    fold(f, leaf, node)
+    return bad
 
 
 def _comparable_atype(space, f, blocks, v):
@@ -459,14 +472,11 @@ def _covering_path(f, w_n: set) -> Optional[Tuple[int, ...]]:
     path: Tuple[int, ...] = ()
     node = f
     while isinstance(node, Node):
-        descended = False
         for i, child in enumerate(node.children):
             if w_n <= set(support(child)):
-                node = child
-                path = path + (i,)
-                descended = True
+                node, path = child, path + (i,)
                 break
-        if not descended:
+        else:
             break
     return path
 
@@ -479,7 +489,9 @@ def _fix_block_atype(space, f, blocks, block_idx, v):
     if not w_n:
         return None
     path = _covering_path(f, w_n)
-    node = _node_at(f, path)
+    node = f
+    for i in path:
+        node = node.children[i]
     if isinstance(node, Leaf):
         return None
     straddlers = []
@@ -498,15 +510,20 @@ def _fix_block_atype(space, f, blocks, block_idx, v):
     def val_on_block(g):
         return eval_functional(space, g, block)
 
+    def cut(child):
+        """The parts of child inside and outside the block's range."""
+        sup = support(child)
+        return (
+            restrict_functional(child, {c for c in sup if blo <= c <= bhi}),
+            restrict_functional(child, {c for c in sup if c < blo or c > bhi}),
+        )
+
     kids = list(node.children)
     if inside:
         # cut one straddler at the boundary; keep the cut part only if it
         # beats the weakest inside sibling (which then makes room)
         i = straddlers[0]
-        child = kids[i]
-        child_sup = support(child)
-        c_in = restrict_functional(child, {c for c in child_sup if blo <= c <= bhi})
-        c_out = restrict_functional(child, {c for c in child_sup if c < blo or c > bhi})
+        c_in, c_out = cut(kids[i])
         weakest = min(inside, key=lambda t: val_on_block(kids[t]))
         if val_on_block(c_in) >= val_on_block(kids[weakest]):
             pieces = (
@@ -521,9 +538,7 @@ def _fix_block_atype(space, f, blocks, block_idx, v):
         # two straddlers, nothing inside: erase the block part of the
         # weaker one; the cover then descends and the cut case applies next
         i = min(straddlers, key=lambda t: val_on_block(kids[t]))
-        child = kids[i]
-        child_sup = support(child)
-        c_out = restrict_functional(child, {c for c in child_sup if c < blo or c > bhi})
+        c_out = cut(kids[i])[1]
         if c_out is None:
             del kids[i]
         else:
@@ -534,28 +549,20 @@ def _fix_block_atype(space, f, blocks, block_idx, v):
     # single straddler and no inside sibling: it holds every block point the
     # subtree has, so the cover should have descended; cut it loose anyway
     i = straddlers[0]
-    child = kids[i]
-    child_sup = support(child)
-    c_in = restrict_functional(child, {c for c in child_sup if blo <= c <= bhi})
-    c_out = restrict_functional(child, {c for c in child_sup if c < blo or c > bhi})
-    kids[i] = max((c_in, c_out), key=lambda g: eval_functional(space, g, v))
+    kids[i] = max(cut(kids[i]), key=lambda g: eval_functional(space, g, v))
     return _rebuild_children(f, path, kids)
-
-
-def _node_at(f, path):
-    for i in path:
-        f = f.children[i]
-    return f
 
 
 def _rebuild_children(f, path, new_children: Sequence[TreeFunctional]):
     """Replace the children tuple of the node at path."""
-    if not path:
-        return Node(f.weight_index, tuple(new_children))
-    head, rest = path[0], path[1:]
-    kids = list(f.children)
-    kids[head] = _rebuild_children(f.children[head], rest, new_children)
-    return Node(f.weight_index, tuple(kids))
+    spine = [f]
+    for i in path:
+        spine.append(spine[-1].children[i])
+    g = _rebuild(spine.pop(), new_children)
+    for i in reversed(path):
+        parent = spine.pop()
+        g = _rebuild(parent, parent.children[:i] + (g,) + parent.children[i + 1 :])
+    return g
 
 
 def _comparable_stype(space, f, blocks, v):
@@ -567,12 +574,8 @@ def _comparable_stype(space, f, blocks, v):
     parts = split_xk(aux, expanded)
     comparable_parts = [p for p in parts if is_comparable(p, blocks)]
     if not comparable_parts:
-        repaired = [
-            _prune_partial_blocks(space, p, blocks) for p in parts
-        ]
-        comparable_parts = [
-            p for p in repaired if p is not None and is_comparable(p, blocks)
-        ]
+        repaired = [_prune_partial_blocks(space, p, blocks) for p in parts]
+        comparable_parts = [p for p in repaired if p is not None and is_comparable(p, blocks)]
     if not comparable_parts:
         raise SurgeryFailed("no comparable part after X_3 splitting")
     return max(comparable_parts, key=lambda p: eval_functional(space, p, v))
@@ -586,42 +589,38 @@ def _expand_boundaries(f: TreeFunctional, blocks) -> TreeFunctional:
     space.  Requires the support to be inside the union of block supports.
     """
     block_ranges = [b.range() for b in blocks]
-    block_supports = [set(b.support) for b in blocks]
     global_support = set(support(f))
+    targets = [set(b.support) & global_support for b in blocks]
 
-    def rec(g: TreeFunctional) -> TreeFunctional:
+    def pieces(g: TreeFunctional):
+        """The children of g, each cut at the boundaries it straddles."""
         if isinstance(g, Leaf):
-            return g
-        new_children: List[TreeFunctional] = []
+            return None
+        out: List[TreeFunctional] = []
         for child in g.children:
             sup = support(child)
-            partial = _partial_blocks(sup, block_ranges, block_supports, global_support)
+            sup_set = set(sup)
+            partial = _partial_blocks(
+                sup[0], sup[-1], block_ranges, lambda i: targets[i] <= sup_set
+            )
             if not partial:
-                new_children.append(rec(child))
+                out.append(child)
                 continue
-            first, last = partial[0], partial[-1]
-            flo, fhi = block_ranges[first]
-            llo, lhi = block_ranges[last]
-            segments = []
-            if first == last:
-                segments = [
-                    {c for c in sup if c < flo},
-                    {c for c in sup if flo <= c <= fhi},
-                    {c for c in sup if c > fhi},
-                ]
-            else:
-                segments = [
-                    {c for c in sup if c <= fhi},
-                    {c for c in sup if fhi < c < llo},
-                    {c for c in sup if c >= llo},
-                ]
-            for seg in segments:
+            # cut at a <= b: around the one block met partially, or
+            # between the first and the last of several
+            flo, fhi = block_ranges[partial[0]]
+            a, b = (flo, fhi + 1) if len(partial) == 1 else (fhi + 1, block_ranges[partial[-1]][0])
+            for seg in (
+                {c for c in sup if c < a},
+                {c for c in sup if a <= c < b},
+                {c for c in sup if c >= b},
+            ):
                 part = restrict_functional(child, seg)
                 if part is not None:
-                    new_children.append(rec(part))
-        return Node(g.weight_index, tuple(new_children))
+                    out.append(part)
+        return out
 
-    return rec(f)
+    return fold(f, lambda g: g, _rebuild, children=pieces)
 
 
 def _prune_partial_blocks(space, g, blocks):
@@ -629,46 +628,35 @@ def _prune_partial_blocks(space, g, blocks):
     best-evaluating maximal fully-inside chunk and erase the rest of the
     block's coordinates from g."""
     block_ranges = [b.range() for b in blocks]
-    block_supports = [set(b.support) for b in blocks]
     for _ in range(len(blocks) + 1):
-        global_support = set(support(g))
-        bad = set()
-        for sup in node_supports(g):
-            bad.update(
-                _partial_blocks(sup, block_ranges, block_supports, global_support)
-            )
+        bad = _partially_met(g, blocks)
         if not bad:
             return g
         for block_idx in sorted(bad):
             blo, bhi = block_ranges[block_idx]
-            chunks = _max_inside_chunks(g, blo, bhi)
-            if not chunks:
-                keep: set = set()
-            else:
-                best = max(
-                    chunks, key=lambda c: eval_functional(space, c, blocks[block_idx])
-                )
-                keep = set(support(best))
+            best = max(
+                _max_inside_chunks(g, blo, bhi),
+                key=lambda c: eval_functional(space, c, blocks[block_idx]),
+                default=None,
+            )
+            keep = set() if best is None else set(support(best))
             drop = {c for c in support(g) if blo <= c <= bhi and c not in keep}
-            g2 = restrict_functional(g, set(support(g)) - drop)
-            if g2 is None:
+            g = restrict_functional(g, set(support(g)) - drop)
+            if g is None:
                 return None
-            g = g2
     return g
 
 
 def _max_inside_chunks(g: TreeFunctional, lo: int, hi: int) -> List[TreeFunctional]:
-    """Maximal subtrees of g whose support lies inside [lo, hi]."""
-    out: List[TreeFunctional] = []
+    """Maximal subtrees of g whose support lies inside [lo, hi], left to right."""
 
-    def rec(node):
-        sup = support(node)
-        if sup[0] >= lo and sup[-1] <= hi:
-            out.append(node)
-            return
-        if isinstance(node, Node):
-            for c in node.children:
-                rec(c)
+    def leaf(t: Leaf):
+        return t.coordinate, t.coordinate, [t] if lo <= t.coordinate <= hi else []
 
-    rec(g)
-    return out
+    def node(t: Node, kids):
+        first, last = kids[0][0], kids[-1][1]
+        if first >= lo and last <= hi:
+            return first, last, [t]
+        return first, last, [chunk for kid in kids for chunk in kid[2]]
+
+    return fold(g, leaf, node)[2]

@@ -71,7 +71,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import families
 from .errors import EmptyVector, IrrationalInRationalMode, SupportTooLarge
-from .functionals import Leaf, Node, TreeFunctional
+from .functionals import Leaf, Node, TreeFunctional, fold
 from .spaces import A_TYPE, SINGLE, SpaceSpec
 from .vectors import SparseVector
 
@@ -585,13 +585,20 @@ class _Engine:
 
     def witness(self, i: int, j: int) -> TreeFunctional:
         decisions = self._decisions
-        while decisions[i][j] == _SUFFIX:
-            i += 1
-        decision = decisions[i][j]
-        if decision == _LEAF:
-            return Leaf(1 if self.values[i] >= 0 else -1, self.coords[i])
-        n, level, code = decision
-        return Node(n, tuple(self.witness(a, b) for a, b in self._expand(level, i, j, code, [])))
+
+        def resolve(i: int, j: int):
+            while decisions[i][j] == _SUFFIX:
+                i += 1
+            return i, j, decisions[i][j]
+
+        def pieces(span):
+            i, j, d = span
+            return None if d == _LEAF else [resolve(*p) for p in self._expand(d[1], i, j, d[2], [])]
+
+        def leaf(span):
+            return Leaf(1 if self.values[span[0]] >= 0 else -1, self.coords[span[0]])
+
+        return fold(resolve(i, j), leaf, lambda span, kids: Node(span[2][0], tuple(kids)), pieces)
 
 
 def norm(space: SpaceSpec, x: SparseVector) -> NormResult:

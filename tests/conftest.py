@@ -70,6 +70,24 @@ def random_partition_instance(rng, space, m, delta):
     return z.scale(Fraction(1) / d(0, len(coords)))
 
 
+def random_aux_functional(rng, coords):
+    """A functional valid in an inner-A_3 auxiliary S-space and often
+    invalid in the plain one, so that ``split_xk`` has regrouping to do.
+
+    A node takes up to 3 * (its first coordinate) children: cut into runs
+    of at most three, the run minima number at most the first coordinate,
+    so the children minima form an S_1[A_3] (hence S_n[A_3]) set.
+    """
+    if len(coords) == 1:
+        return t.Leaf(rng.choice((1, -1)), coords[0])
+    if len(coords) <= 3 and rng.random() < 0.3:
+        return t.Node(1, tuple(t.Leaf(rng.choice((1, -1)), c) for c in coords))
+    k = rng.randint(2, min(len(coords), 3 * coords[0]))
+    cuts = sorted(rng.sample(range(1, len(coords)), k - 1))
+    pieces = [coords[a:b] for a, b in zip([0] + cuts, cuts + [len(coords)])]
+    return t.Node(rng.randint(1, 2), tuple(random_aux_functional(rng, p) for p in pieces))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

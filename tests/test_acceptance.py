@@ -20,7 +20,7 @@ from tsirelson.generators import random_blocks, random_valid_functional, random_
 from tsirelson.norm import brute_norm, norm
 from tsirelson.vectors import sum_vectors
 
-from conftest import random_partition_instance
+from conftest import random_aux_functional, random_partition_instance
 
 TSIRELSON = t.preset("tsirelson")
 GEOM_S = t.preset("geometric-s:1/2")
@@ -178,9 +178,26 @@ def test_criterion_07_tav():
     )
 
 
+def _check_split(aux, f, x):
+    """split_xk's contract: at most k+1 successive parts, each valid in the
+    plain space, summing to f."""
+    parts = t.split_xk(aux, f)
+    assert 1 <= len(parts) <= aux.inner_ak + 1
+    assert sum(t.eval_functional(GEOM_S, p, x) for p in parts) == t.eval_functional(
+        GEOM_S, f, x
+    )
+    for p in parts:
+        assert t.validate(GEOM_S, p) == []
+    sups = [t.functionals.support(p) for p in parts]
+    for a, b in zip(sups, sups[1:]):
+        assert a[-1] < b[0]
+    return parts
+
+
 def test_criterion_08_surgery():
-    """split sum identity on 100 vectors; comparability constants on 500
-    random instances per ladder type."""
+    """split sum identity on 100 vectors, and on 100 functionals that only
+    the auxiliary space admits; comparability constants on 500 random
+    instances per ladder type."""
     rng = random.Random(1008)
     aux = GEOM_S.with_inner_ak(3)
     for _ in range(100):
@@ -191,13 +208,26 @@ def test_criterion_08_surgery():
             coords.append(c)
             c += rng.randint(1, 3)
         f = random_valid_functional(aux, rng, tuple(coords))
-        parts = t.split_xk(aux, f)
-        x = random_vector(rng, rng.randint(1, 6))
-        assert sum(t.eval_functional(GEOM_S, p, x) for p in parts) == t.eval_functional(
-            GEOM_S, f, x
-        )
-        for p in parts:
-            assert t.validate(GEOM_S, p) == []
+        _check_split(aux, f, random_vector(rng, rng.randint(1, 6)))
+    # random_valid_functional keeps every node valid in the plain space, where
+    # split_xk is the identity; these inputs need regrouping
+    rng = random.Random(1082)
+    split, drawn = 0, 0
+    while drawn < 100:
+        size = rng.randint(2, 12)
+        c = rng.randint(1, 3)
+        coords = []
+        for _ in range(size):
+            coords.append(c)
+            c += rng.randint(1, 3)
+        f = random_aux_functional(rng, tuple(coords))
+        assert t.validate(aux, f) == []
+        if not t.validate(GEOM_S, f):
+            continue
+        drawn += 1
+        parts = _check_split(aux, f, random_vector(rng, rng.randint(1, 8)))
+        split += len(parts) >= 2
+    assert split >= 90, f"only {split} of 100 plain-invalid functionals split"
     for spec, seed in ((SCHLUMPRECHT, 1080), (TSIRELSON, 1081)):
         rng = random.Random(seed)
         const = comparability_constant(spec)
@@ -222,7 +252,10 @@ def test_criterion_08_surgery():
             else:
                 assert float(lhs) >= float(rhs) - 1e-9
     assert report(
-        8, True, "split identity x100; 6x (A-type) and 4x (S-type) on 500 each"
+        8,
+        True,
+        f"split identity x100, {split}/100 plain-invalid inputs split;"
+        " 6x (A-type) and 4x (S-type) on 500 each",
     )
 
 

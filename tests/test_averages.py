@@ -209,6 +209,16 @@ class TestEqualNormPartition:
         with pytest.raises(HypothesisViolated):
             av.equal_norm_partition(TSIRELSON, z, 2, Fraction(1, 2))
 
+    def test_sup_norm_refusal_builds_no_table(self, monkeypatch):
+        def no_table(space, z):
+            raise AssertionError("interval_norm_table called")
+
+        monkeypatch.setattr(av, "interval_norm_table", no_table)
+        # a long vector whose norm is >= 1/2 but whose sup-norm is too large
+        z = t.SparseVector(tuple((10 + i, Fraction(1, 8)) for i in range(64)))
+        with pytest.raises(HypothesisViolated, match="delta/\\(8 m\\^2\\)"):
+            av.equal_norm_partition(TSIRELSON, z, 2, Fraction(1, 2))
+
     def test_random_instances(self, rng):
         for m, delta in ((2, Fraction(1, 2)), (3, Fraction(1, 2))):
             z = random_partition_instance(rng, TSIRELSON, m, delta)

@@ -74,6 +74,23 @@ class TestCommands:
         code, _ = invoke(["audit", "sch1", "--ground", "10"], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (["audit", "kriv", "--space", "schlumprecht", "--r", "2"], "260101"),
+            (["audit", "sch1", "--ground", "15"], "capped at ground 14"),
+        ],
+    )
+    def test_budget_refusal_is_2(self, argv, refusal, capsys):
+        code = run(argv)
+        assert code == 2
+        assert refusal in capsys.readouterr().err
+
+    def test_unbounded_family_stays_1(self, capsys):
+        code = run(["audit", "l3", "--level", "3", "--trials", "5", "--seed", "1"])
+        assert code == 1
+        assert "exceeds guard" in capsys.readouterr().err
+
     def test_usage_error_is_2(self, capsys):
         code, _ = invoke(["family", "member", "--family", "S", "--set", "1"], capsys)
         assert code == 2

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tsirelson as t
-from tsirelson.errors import InvalidInput, ParseError
+from tsirelson.errors import InvalidInput, ParseError, SurgeryFailed
 from tsirelson.functionals import (
     MAX_FUNCTIONAL_DEPTH,
+    Violation,
     comparability_constant,
+    fold,
+    leaves,
     negate_functional,
-    node_supports,
     restrict_functional,
     support,
 )
@@ -60,6 +62,29 @@ class TestValidate:
         f = t.Node(1, (t.Node(1, (t.Leaf(1, 3), t.Leaf(1, 5))), t.Leaf(1, 4)))
         violations = t.validate(GEOM_S, f)
         assert violations and "successive" in violations[0].reason
+
+    def test_violations_in_pre_order_with_paths(self):
+        L, N = t.Leaf, t.Node
+        hidden = N(1, (L(1, 7), L(1, 6)))  # below an unavailable index
+        f = N(1, (L(1, 2), N(1, (L(1, 3), N(1, (L(1, 5), L(1, 4))))), N(2, (hidden, L(1, 9)))))
+        assert t.validate(TSIRELSON, f) == [
+            Violation((), "children minima (2, 3, 7) not a member of S1"),
+            Violation((1, 1), "children supports not successive"),
+            Violation((2,), "weight index 2 not available"),
+        ]
+        assert t.validate(TSIRELSON, hidden) == [
+            Violation((), "children supports not successive")
+        ]
+
+    def test_membership_error_below_a_reported_node_is_dropped(self):
+        # the children minima (5, 4) of odd are out of order: is_member raises
+        L, N = t.Leaf, t.Node
+        odd = N(1, (N(1, (L(1, 5), L(1, 3))), L(1, 4)))
+        with pytest.raises(ValueError):
+            t.validate(TSIRELSON, odd)
+        assert t.validate(TSIRELSON, N(2, (odd, L(1, 9)))) == [
+            Violation((), "weight index 2 not available")
+        ]
 
     def test_matches_norming_set_closure_on_small_supports(self):
         # everything reachable by the closure validates; small perturbations
@@ -158,9 +183,12 @@ class TestCoverMap:
         ]
         inner = t.Node(1, (t.Leaf(1, 5), t.Leaf(1, 6)))
         f = t.Node(1, (t.Leaf(1, 3), t.Leaf(1, 4), inner))
-        from tsirelson.functionals import cover_map, node_supports, support
+        from tsirelson.functionals import _covering_path, support
 
-        covers = cover_map(f, blocks)
+        covers = {}
+        for idx, block in enumerate(blocks):
+            w_n = set(block.support) & set(support(f))
+            covers[idx] = _covering_path(f, w_n) if w_n else None
         assert covers[0] == ()  # block 0 spread over two root children
         assert covers[1] == (2,)  # the inner node holds all of block 1
         assert covers[2] is None  # disjoint
@@ -306,3 +334,112 @@ class TestMakeComparable:
                 assert lhs >= rhs
             else:
                 assert float(lhs) >= float(rhs) - 1e-9
+
+
+def chain(first, depth, weight=1):
+    """depth nested nodes, each holding the leaf at the next coordinate and
+    the rest of the chain: (n w (l + first) (n w (l + first+1) ... (l + last)))."""
+    g = t.Leaf(1, first + depth)
+    for c in range(first + depth - 1, first - 1, -1):
+        g = t.Node(weight, (t.Leaf(1, c), g))
+    return g
+
+
+def ones(coords):
+    return t.SparseVector(tuple((c, Fraction(1)) for c in coords))
+
+
+class TestFold:
+    def test_children_in_order_and_post_order(self):
+        f = t.Node(2, (t.Leaf(1, 2), t.Node(1, (t.Leaf(-1, 3), t.Leaf(1, 4))), t.Leaf(1, 6)))
+        visits = []
+
+        def node(g, kids):
+            visits.append(g.weight_index)
+            return [g.weight_index, kids]
+
+        assert fold(f, lambda g: g.coordinate, node) == [2, [2, [1, [3, 4]], 6]]
+        assert visits == [1, 2]
+        assert [g.coordinate for g in leaves(f)] == [2, 3, 4, 6]
+        assert fold(t.Leaf(1, 5), lambda g: g.coordinate, node) == 5
+
+    def test_implicit_tree(self):
+        # children() builds the tree as the fold walks it: halve a span
+        def halves(span):
+            a, b = span
+            return None if b - a == 1 else [(a, (a + b) // 2), ((a + b) // 2, b)]
+
+        def node(span, kids):
+            return [span, *kids]
+
+        assert fold((0, 4), lambda span: span, node, children=halves) == [
+            (0, 4), [(0, 2), (0, 1), (1, 2)], [(2, 4), (2, 3), (3, 4)]
+        ]
+
+
+DEEP = 10_000
+
+
+class TestDeepTrees:
+    """Every walker runs without recursion: a 10,000-deep chain goes through
+    under the default recursion limit."""
+
+    def test_walkers_on_a_deep_chain(self):
+        f = chain(2, DEEP)
+        last = 2 + DEEP
+        assert support(f) == tuple(range(2, last + 1))
+        assert t.validate(TSIRELSON, f) == []
+        x = ones((2, last))
+        assert t.eval_functional(TSIRELSON, f, x) == Fraction(1, 2) + Fraction(1, 2**DEEP)
+        assert t.eval_functional(TSIRELSON, negate_functional(f), x) == -(
+            Fraction(1, 2) + Fraction(1, 2**DEEP)
+        )
+        text = t.format_functional(f)
+        assert text == (
+            "".join(f"(n 1 (l + {c}) " for c in range(2, last)) + f"(l + {last})" + ")" * DEEP
+        )
+        evens = restrict_functional(f, range(2, last + 1, 2))
+        assert support(evens) == tuple(range(2, last + 1, 2))
+        assert t.validate(TSIRELSON, evens) == []
+        assert t.is_comparable(f, [ones(range(last - 5, last + 1))])
+        assert not t.is_comparable(f, [ones(range(2, 5002)), ones(range(5002, last + 1))])
+
+    def test_deep_violation_has_its_full_path(self):
+        last = 2 + DEEP
+        g = t.Node(1, (t.Leaf(1, last), t.Leaf(1, last - 1)))
+        for c in range(last - 2, 1, -1):
+            g = t.Node(1, (t.Leaf(1, c), g))
+        assert t.validate(TSIRELSON, g) == [
+            Violation((1,) * (DEEP - 1), "children supports not successive")
+        ]
+
+    def test_split_regroups_above_a_deep_chain(self):
+        # minima (2, 3, 4, 5) are S_1[A_2]- but not S_1-admissible; the
+        # chain below is valid in the plain space and stays whole
+        aux = TSIRELSON.with_inner_ak(2)
+        deep = chain(5, DEEP)
+        f = t.Node(1, (t.Leaf(1, 2), t.Leaf(1, 3), t.Leaf(1, 4), deep))
+        parts = t.split_xk(aux, f)
+        assert parts == [
+            t.Node(1, (t.Leaf(1, 2), t.Leaf(1, 3))),
+            t.Node(1, (t.Leaf(1, 4), deep)),
+        ]
+        x = ones((2, 3, 4, 5, 6))
+        assert sum(t.eval_functional(TSIRELSON, p, x) for p in parts) == t.eval_functional(
+            TSIRELSON, f, x
+        )
+
+    @pytest.mark.parametrize("name, weight", [("tsirelson", 1), ("geometric-a:1/2", 2)])
+    def test_make_comparable_on_a_deep_chain(self, name, weight):
+        space = t.preset(name)
+        depth = 1_200
+        f = chain(2, depth, weight)
+        last = 2 + depth
+        blocks = [ones(range(2, 602)), ones(range(602, last + 1))]
+        assert not t.is_comparable(f, blocks)
+        try:
+            g = t.make_comparable(space, f, blocks)
+        except SurgeryFailed:
+            return
+        assert t.validate(space, g) == []
+        assert t.is_comparable(g, blocks)
