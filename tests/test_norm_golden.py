@@ -1,7 +1,8 @@
 """Golden values of the norm engine beyond the reach of ``brute_norm``.
 
 ``data/norm_golden.json`` records, for a seeded corpus of vectors with up
-to 40 support points, the value, witness, ``max_n_explored`` and cutoff
+to 40 support points (44 to 64 for the A-ladders at the sizes of the
+``norm-large`` benchmark), the value, witness, ``max_n_explored`` and cutoff
 certificate of ``norm``, and the value and pieces of ``admissible_sum``.
 The test asserts exact equality (float values bit for bit), so an engine
 change that moves a value or a witness tie-break fails here.
@@ -27,6 +28,13 @@ DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "norm_golden.json"
 SIZES = (1, 2, 5, 12, 24, 40)
 VECTORS_PER_SIZE = 2
+# A-ladder spaces at the support sizes of the norm-large benchmark
+LARGE_A_CASES = (
+    ("schlumprecht", 44),
+    ("tzafriri:1/2", 48),
+    ("explicit-a", 48),
+    ("geometric-a:1/2", 64),
+)
 ADMISSIBLE_SPACES = ("tsirelson", "geometric-a:1/2", "schlumprecht")
 ADMISSIBLE_SIZES = (5, 12)
 ADMISSIBLE_FAMILIES = ("A1", "A2", "A3", "S1", "S2")
@@ -91,14 +99,13 @@ def _admissible_record(space, x, family):
 
 def generate():
     spaces = golden_spaces()
+    cases = [(label, m) for label in spaces for m in SIZES] + list(LARGE_A_CASES)
     norms = []
-    for label, space in spaces.items():
-        for m in SIZES:
-            for r in range(VECTORS_PER_SIZE):
-                x = _vector(label, space, m, r)
-                norms.append(
-                    {"space": label, "vector": _encode_vector(x), **_norm_record(space, x)}
-                )
+    for label, m in cases:
+        space = spaces[label]
+        for r in range(VECTORS_PER_SIZE):
+            x = _vector(label, space, m, r)
+            norms.append({"space": label, "vector": _encode_vector(x), **_norm_record(space, x)})
     sums = []
     for label in ADMISSIBLE_SPACES:
         space = spaces[label]
