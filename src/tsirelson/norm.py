@@ -45,6 +45,15 @@ the single piece, through k = 1 at every level of the chain.  The weight
 loop therefore uses each head's *exclusive* value (that candidate left out),
 and the *full* table values at [i, j) are finalized right after ``D[i][j]``.
 
+A-ladders.  In an A-type space every head ``A_n`` cuts into pieces of D
+itself, so its exclusive value on [i, j) is the l1 norm when j - i <= n and
+otherwise the first maximum of ``C_k(i)`` over 2 <= k <= n, which the base
+column keeps as a running maximum.  The weight loop fills that running
+maximum in one call per interval, up to the last n whose tail bound beats
+the lower bound ``max(D[i+1][j], D[i][j-1])`` of ``D[i][j]``, and reads each
+explored n off it; it fills further only if its own best is still below
+that bound when it passes there.
+
 Arithmetic.  Float spaces fill in floats, in the order of addition above.
 Exact spaces fill in integers over one scale ``G = L * Q**(m-1)``: L is the
 common denominator of |x|, and Q that of theta_n over the weight indices
@@ -288,6 +297,10 @@ class _Engine:
         self._new_table(base)
         self._levels: Dict[tuple, _Level] = {(): base}
         self._heads: Dict[int, _Level] = {}
+        # the heads A_n of an A-type space (which takes no inner A_k) all
+        # cut into pieces of D and differ only in their budget n; one level
+        # stands for all of them in decisions
+        self._ladder = _Level(None, base, None) if space.kind == A_TYPE else None
         self._tables: List[_Level] = []
         self._decisions = [[None] * (m + 1) for _ in range(m)]
         self._i, self._j = -1, 0  # the interval in progress
@@ -479,6 +492,8 @@ class _Engine:
         self._exclusives = {}
         single = space.kind == SINGLE
         tails, thetas, heads = self._tails, self._thetas, self._heads
+        ladder = self._ladder
+        run = None
         n = self._n_start
         while not (single and n > 1):
             tail = tails.get(n)
@@ -503,10 +518,23 @@ class _Engine:
                 explore = theta * ell > best
             if explore:
                 self.max_n_explored = max(self.max_n_explored, n)
-                head = heads.get(n)
-                if head is None:
-                    head = self._head(n)
-                cand = self._exclusive(head, i, j, ell)
+                if ladder is None:
+                    head = heads.get(n)
+                    if head is None:
+                        head = self._head(n)
+                    cand = self._exclusive(head, i, j, ell)
+                else:
+                    # A_n takes all singletons when they fit, else the first
+                    # maximum of C_k(i) over 2 <= k <= n, read off one fill
+                    head = ladder
+                    if j - i <= n:
+                        cand = (ell, 0)
+                    else:
+                        if run is None:
+                            column = self._column(self._base, j)
+                            column.best(i, self._reach(i, j, ell, n, best))
+                            run = column.run
+                        cand = run[n] if n < len(run) else column.best(i, n)
                 if cand is not None:
                     if exact:
                         value, rem = divmod(p * cand[0], q)
@@ -523,6 +551,26 @@ class _Engine:
                         decision = (n, level, code)
             n += 1
         return best, decision
+
+    def _reach(self, i: int, j: int, ell, n: int, best) -> int:
+        """The last weight index from n on, below j - i, whose tail bound
+        beats max(best, D[i][j-1]), a lower bound of D[i][j]: the weight
+        loop passes it only while its own best stays below that bound."""
+        lower = max(best, self._base.F[i][j - 1])
+        exact = self.space.exact
+        top = n
+        while top < j - i - 1:
+            tail = self._tails.get(top + 1)
+            if tail is None:
+                tail = self._tail(top + 1)
+            if exact:
+                beats = tail.numerator * ell > tail.denominator * lower
+            else:
+                beats = tail * ell > lower
+            if not beats:
+                break
+            top += 1
+        return top
 
     # -- results ---------------------------------------------------------------
 

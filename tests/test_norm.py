@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import tsirelson as t
 from tsirelson.errors import EmptyVector, SupportTooLarge
 from tsirelson.generators import random_vector
-from tsirelson.norm import _Engine, admissible_sum, brute_norm, flat_norm_table, norm
+from tsirelson.norm import _Column, _Engine, admissible_sum, brute_norm, flat_norm_table, norm
 from tsirelson.scalars import FLOAT64, close as scalar_close
 
 TSIRELSON = t.preset("tsirelson")
@@ -292,6 +292,27 @@ class TestEngineContract:
                 piece = self.X.restrict(engine.coords[a:b])
                 assert engine.value(a, b) == norm(TSIRELSON, piece).value
         assert engine.value(0, engine.m, t.An(3)) == sum(engine.abs_values)
+
+
+class TestWorkCounters:
+    """Deterministic work counts of the fill, gated without timing."""
+
+    def test_a_ladder_fills_each_interval_in_one_column_call(self, monkeypatch):
+        # every head A_n reads its C_k values off one batched fill of the
+        # interval, not one call per explored weight index (about 11k here)
+        calls = []
+        best = _Column.best
+
+        def counted(column, i, K):
+            calls.append(K)
+            return best(column, i, K)
+
+        monkeypatch.setattr(_Column, "best", counted)
+        m = 44
+        engine = _Engine(SCHLUMPRECHT, _large_vector("schlumprecht", m, exact=False))
+        engine.fill()
+        assert engine.max_n_explored >= 30
+        assert 0 < len(calls) <= m * (m - 1) // 2
 
 
 def _best_partition_sum(spec, x, coords, fam):
