@@ -129,44 +129,39 @@ class Violation:
 
 
 def _checks(space: SpaceSpec):
-    """Fold callbacks behind ``validate``: a subtree folds to its end leaf
-    coordinates and its violations in pre-order, as (reversed path list,
-    reason).  A node with an unavailable index or overlapping children
-    reports only that; a membership test that raises is held as a reason,
-    which such a node above drops."""
+    """Fold callbacks behind ``validate``: a subtree folds to its first leaf
+    coordinate, its least and greatest coordinates, and its violations in
+    pre-order, as (reversed path list, reason).  A node with an unavailable
+    index or children that are not successive reports only that."""
     top = space.max_index()
 
     def node(g: Node, kids):
-        first, last = kids[0][0], kids[-1][1]
+        first = kids[0][0]
+        lo, hi = min(kid[1] for kid in kids), max(kid[2] for kid in kids)
         if top is not None and g.weight_index > top:
-            return first, last, [([], f"weight index {g.weight_index} not available")]
+            return first, lo, hi, [([], f"weight index {g.weight_index} not available")]
         for a, b in zip(kids, kids[1:]):
-            if a[1] >= b[0]:
-                return first, last, [([], "children supports not successive")]
+            if a[2] >= b[1]:
+                return first, lo, hi, [([], "children supports not successive")]
+        # the children are successive, so their first leaves increase
         minima = tuple(kid[0] for kid in kids)
         fam = space.family_for_index(g.weight_index)
         out = []
-        try:
-            if not families.is_member(fam, minima):
-                out.append(([], f"children minima {minima} not a member of {fam}"))
-        except ValueError as exc:
-            out.append(([], exc))
-        for i, (_, _, below) in enumerate(kids):
-            for path, _ in below:
+        if not families.is_member(fam, minima):
+            out.append(([], f"children minima {minima} not a member of {fam}"))
+        for i, kid in enumerate(kids):
+            for path, _ in kid[3]:
                 path.append(i)
-            out.extend(below)
-        return first, last, out
+            out.extend(kid[3])
+        return first, lo, hi, out
 
-    return (lambda g: (g.coordinate, g.coordinate, [])), node
+    return (lambda g: (g.coordinate, g.coordinate, g.coordinate, [])), node
 
 
 def validate(space: SpaceSpec, f: TreeFunctional) -> List[Violation]:
     """Structured admissibility check; an empty list means the functional is
     in the norming set of the space."""
-    found = fold(f, *_checks(space))[2]
-    for _, reason in found:
-        if isinstance(reason, ValueError):
-            raise reason
+    found = fold(f, *_checks(space))[3]
     return [Violation(tuple(reversed(path)), reason) for path, reason in found]
 
 
@@ -291,7 +286,7 @@ def split_xk(space: SpaceSpec, f: TreeFunctional) -> List[TreeFunctional]:
 
     def node(g: Node, kids):
         checked = check_node(g, [c for c, _ in kids])
-        if not checked[2]:
+        if not checked[3]:
             return checked, [g]
         parts = [p for _, split in kids for p in split]
         minima = tuple(next(leaves(p)).coordinate for p in parts)

@@ -102,6 +102,7 @@ class NormResult:
             "value": render_scalar(self.value),
             "witness": format_functional(self.witness),
             "max_n_explored": self.max_n_explored,
+            "cutoff_bound": render_scalar(self.cutoff_bound),
         }
 
 

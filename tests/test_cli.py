@@ -10,6 +10,7 @@ import pytest
 
 import tsirelson as t
 from tsirelson.cli import build_parser, run
+from tsirelson.scalars import render_scalar
 from tsirelson.vectors import format_vector, parse_vector
 
 
@@ -149,6 +150,15 @@ class TestCommands:
         assert code == 2
         assert "nested deeper" in capsys.readouterr().err
 
+    def test_comparable_refuses_an_out_of_order_subtree(self, tmp_path, capsys):
+        # the first child's leaves run 5, 3: its span 3..5 overlaps the leaf 4
+        block = tmp_path / "b.vec"
+        block.write_text("3\t1\n4\t1\n5\t1\n")
+        f = "(n 1 (n 1 (l + 5) (l + 3)) (l + 4))"
+        code = run(["comparable", "--space", "tsirelson", "--functional", f, "--blocks", str(block)])
+        assert code == 1
+        assert "make_comparable needs a valid functional" in capsys.readouterr().err
+
     def test_regularize(self, capsys):
         code, out = invoke(
             ["regularize", "--space", "geometric-s:1/2", "--horizon", "3"], capsys
@@ -272,6 +282,24 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
         payload = json.loads(blobs[0])
         assert payload["value"] == "3/2"
+
+
+    @pytest.mark.parametrize("command", ["norm", "witness"])
+    def test_json_carries_the_cutoff_certificate(self, command, tmp_path):
+        vec = tmp_path / "x.vec"
+        vec.write_text("2\t1/2\n3\t-1\n5\t3/4\n8\t1\n")
+        blobs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            argv = ["--json", str(out), command, "--space", "geometric-s:1/2", "--vector", str(vec)]
+            assert run(argv) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+        payload = json.loads(blobs[0])
+        assert set(payload) == {"value", "witness", "max_n_explored", "cutoff_bound"}
+        result = t.norm(t.preset("geometric-s:1/2"), parse_vector(vec.read_text()))
+        assert payload["cutoff_bound"] == render_scalar(result.cutoff_bound)
+        assert Fraction(payload["cutoff_bound"]) <= Fraction(payload["value"])
 
 
 class TestOptionPositions:

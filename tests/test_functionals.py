@@ -76,12 +76,17 @@ class TestValidate:
             Violation((), "children supports not successive")
         ]
 
-    def test_membership_error_below_a_reported_node_is_dropped(self):
-        # the children minima (5, 4) of odd are out of order: is_member raises
+    def test_out_of_order_subtree_is_a_violation(self):
+        # odd's first child spans 3..5 though its leaves run 5, 3: the root's
+        # children overlap, which hides the first child's own violation
         L, N = t.Leaf, t.Node
         odd = N(1, (N(1, (L(1, 5), L(1, 3))), L(1, 4)))
-        with pytest.raises(ValueError):
-            t.validate(TSIRELSON, odd)
+        assert t.validate(TSIRELSON, odd) == [
+            Violation((), "children supports not successive")
+        ]
+        assert t.validate(TSIRELSON, N(1, (L(1, 2), N(1, (L(1, 5), L(1, 3)))))) == [
+            Violation((1,), "children supports not successive")
+        ]
         assert t.validate(TSIRELSON, N(2, (odd, L(1, 9)))) == [
             Violation((), "weight index 2 not available")
         ]
