@@ -149,10 +149,10 @@ def _checks(space: SpaceSpec):
         out = []
         if not families.is_member(fam, minima):
             out.append(([], f"children minima {minima} not a member of {fam}"))
-        for i, kid in enumerate(kids):
-            for path, _ in kid[3]:
+        for i, (_, _, _, below) in enumerate(kids):
+            for path, _ in below:
                 path.append(i)
-            out.extend(kid[3])
+            out.extend(below)
         return first, lo, hi, out
 
     return (lambda g: (g.coordinate, g.coordinate, g.coordinate, [])), node

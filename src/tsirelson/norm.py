@@ -49,10 +49,10 @@ A-ladders.  In an A-type space every head ``A_n`` cuts into pieces of D
 itself, so its exclusive value on [i, j) is the l1 norm when j - i <= n and
 otherwise the first maximum of ``C_k(i)`` over 2 <= k <= n, which the base
 column keeps as a running maximum.  The weight loop fills that running
-maximum in one call per interval, up to the last n whose tail bound beats
-the lower bound ``max(D[i+1][j], D[i][j-1])`` of ``D[i][j]``, and reads each
-explored n off it; it fills further only if its own best is still below
-that bound when it passes there.
+maximum in one call per interval, up to the last n whose tail bound beats a
+lower bound of ``D[i][j]``: its best so far (at least ``D[i+1][j]``) or
+``D[i][j-1]``, whichever is larger.  It reads each explored n off that fill,
+and fills further only if its own best is still below the bound there.
 
 Arithmetic.  Float spaces fill in floats, in the order of addition above.
 Exact spaces fill in integers over one scale ``G = L * Q**(m-1)``: L is the
