@@ -155,7 +155,9 @@ class TestCommands:
         block = tmp_path / "b.vec"
         block.write_text("3\t1\n4\t1\n5\t1\n")
         f = "(n 1 (n 1 (l + 5) (l + 3)) (l + 4))"
-        code = run(["comparable", "--space", "tsirelson", "--functional", f, "--blocks", str(block)])
+        code = run(
+            ["comparable", "--space", "tsirelson", "--functional", f, "--blocks", str(block)]
+        )
         assert code == 1
         assert "make_comparable needs a valid functional" in capsys.readouterr().err
 
@@ -282,7 +284,6 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
         payload = json.loads(blobs[0])
         assert payload["value"] == "3/2"
-
 
     @pytest.mark.parametrize("command", ["norm", "witness"])
     def test_json_carries_the_cutoff_certificate(self, command, tmp_path):
