@@ -35,10 +35,12 @@ worth at most its l1 norm), and the level's value is the l1 norm.
 
 Tables.  Only a chain that is the inner chain of some level keeps its value
 table ``A[i][j]`` (with a decision code).  The values ``C_k(a)`` exist for
-the current right end j only, computed on demand, row by row; their split
-points are kept in compact integer arrays for the witness.  Chains are
-created when the weight loop first reaches their level, and a new table is
-backfilled over the intervals already done.
+the current right end j only, computed on demand, row by row; no split
+point is kept.  The witness rebuilds the splits of a node from a fresh
+column over the final table: the first e with ``A[a][e] + C_{k-1}(e)``
+equal to ``C_k(a)`` at each step, the split the fill's first maximum took.
+Chains are created when the weight loop first reaches their level, and a
+new table is backfilled over the intervals already done.
 
 Exclusive and full values.  Only one candidate of [i, j) reads ``D[i][j]``:
 the single piece, through k = 1 at every level of the chain.  The weight
@@ -72,7 +74,6 @@ over the support directly.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -138,18 +139,18 @@ class _Level:
     all-singletons partition of [i, j) is admissible iff j <= fast[i].
     ``F``/``FT`` (rows/columns) and ``code`` exist once the level is the
     inner chain of another: code 0 is all singletons, 1 the inner chain on
-    the whole interval, k >= 2 a split into k groups.  ``splits[j][a]``
-    holds the first maximizing split of C_k(a) at right end j, for k >= 2.
-    The base level (empty stack) has D as its table.
+    the whole interval, k >= 2 a split into k groups.  ``live`` is the
+    column of the right end in progress.  The base level (empty stack) has
+    D as its table.
     """
 
-    __slots__ = ("budgets", "inner", "fast", "F", "FT", "code", "splits", "live", "queries")
+    __slots__ = ("budgets", "inner", "fast", "F", "FT", "code", "live", "queries")
 
     def __init__(self, budgets, inner, fast):
         self.budgets = budgets
         self.inner = inner
         self.fast = fast
-        self.F = self.FT = self.code = self.splits = None
+        self.F = self.FT = self.code = None
         self.live = None
         self.queries = None
 
@@ -161,38 +162,22 @@ class _Column:
     demand up to kdone[a].  Rows [low_row, j) are filled at least to
     min(top_k, j - a).  ``best(i, K)`` is the first maximum of C_k(i) over
     2 <= k <= K; the running maximum of the last row asked is kept, so
-    that levels sharing this inner chain share it.
+    that levels sharing this inner chain share it.  The column holds the
+    chain's table, not the chain, so that the chain's ``live`` column makes
+    no reference cycle.
     """
 
-    __slots__ = (
-        "level", "j", "C", "kdone", "top_k", "low_row", "splits", "merge",
-        "typecode", "row", "run",
-    )
+    __slots__ = ("F", "j", "C", "kdone", "top_k", "low_row", "row", "run")
 
-    def __init__(self, level: _Level, j: int, typecode: str):
-        self.level = level
+    def __init__(self, level: _Level, j: int):
+        self.F = level.F
         self.j = j
         self.C = [None, level.FT[j]]
         self.kdone = [1] * j
         self.top_k = 1
         self.low_row = j
-        self.splits = [None] * j
-        self.typecode = typecode
         self.row = -1
         self.run = None
-        # a column recomputed after its first pass keeps the longer split
-        # arrays; equal k give equal splits, so either is right
-        self.merge = level.splits[j] is not None
-        if not self.merge:
-            level.splits[j] = self.splits
-
-    def retire(self):
-        if not self.merge:
-            return
-        kept = self.level.splits[self.j]
-        for a, new in enumerate(self.splits):
-            if new is not None and (kept[a] is None or len(new) > len(kept[a])):
-                kept[a] = new
 
     def fill_rows(self, start: int, stop: int, need: int):
         """Fill C_k(e) for k <= min(need, j - e) on rows e = start down to
@@ -202,24 +187,16 @@ class _Column:
         while len(C) <= need:
             C.append([None] * j)
         kdone = self.kdone
-        F = self.level.F
-        all_splits = self.splits
+        F = self.F
         for e in range(start, stop, -1):
             k_to = j - e if j - e < need else need
             k_from = kdone[e] + 1
             if k_from > k_to:
                 continue
-            row = F[e]
-            splits = all_splits[e]
-            if splits is None:
-                splits = all_splits[e] = array(self.typecode)
-            lo = e + 1
+            # splits e + 1 .. j - k + 1; map stops at the shorter operand
+            row = F[e][e + 1 : j]
             for k in range(k_from, k_to + 1):
-                hi = j - k + 2
-                cands = list(map(add, row[lo:hi], C[k - 1][lo:hi]))
-                best = max(cands)
-                C[k][e] = best
-                splits.append(lo + cands.index(best))
+                C[k][e] = max(map(add, row, C[k - 1][e + 1 : j - k + 2]))
             kdone[e] = k_to
 
     def best(self, i: int, K: int):
@@ -293,7 +270,6 @@ class _Engine:
             prefix.append(prefix[-1] + v)
         self._absv = absv
         self._prefix = prefix
-        self._typecode = "H" if m < 1 << 16 else "L"
         base = self._base = _Level(None, None, None)
         self._new_table(base)
         self._levels: Dict[tuple, _Level] = {(): base}
@@ -338,7 +314,6 @@ class _Engine:
         level.F = [[None] * size for _ in range(size)]
         level.FT = [[None] * size for _ in range(size)]
         level.code = [[None] * size for _ in range(size)]
-        level.splits = [None] * size
 
     # -- chains --------------------------------------------------------------
 
@@ -401,7 +376,6 @@ class _Engine:
                 v, code = self._full(level, a, j, prefix[j] - prefix[a], column)
                 level.F[a][j] = level.FT[j][a] = v
                 level.code[a][j] = code
-            column.retire()
         self._tables.append(level)
 
     # -- exactly-k values ----------------------------------------------------
@@ -410,10 +384,10 @@ class _Engine:
         """C_k values of the inner chain `level` at right end j; the one of
         the column in progress is kept, earlier columns are recomputed."""
         if j != self._j:
-            return _Column(level, j, self._typecode)
+            return _Column(level, j)
         column = level.live
         if column is None or column.j != j:
-            column = level.live = _Column(level, j, self._typecode)
+            column = level.live = _Column(level, j)
         return column
 
     def _rest(self, level: _Level, i: int, j: int, column: _Column):
@@ -592,7 +566,6 @@ class _Engine:
             column = self._column(level.inner, j)
             prefix = self._prefix
             found = self._full(level, i, j, prefix[j] - prefix[i], column)
-            column.retire()
             level.queries[(i, j)] = found
         return (level,) + found
 
@@ -620,9 +593,15 @@ class _Engine:
         inner = level.inner
         bounds = [a]
         if code >= 2:
-            splits = inner.splits[b]
+            # the first split of each step whose sum attains C_k(a), as the
+            # fill's first maximum; the column reads only final entries and
+            # so repeats the fill's values
+            column = self._column(inner, b)
+            column.best(a, code)
+            C = column.C
             for k in range(code, 1, -1):
-                a = splits[a][k - 2]
+                row, rest, target = inner.F[a], C[k - 1], C[k][a]
+                a = next(e for e in range(a + 1, b - k + 2) if row[e] + rest[e] == target)
                 bounds.append(a)
         bounds.append(b)
         for s, e in zip(bounds, bounds[1:]):

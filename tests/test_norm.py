@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import inspect
 import random
 from fractions import Fraction
@@ -216,6 +217,13 @@ def _large_vector(label, m, exact):
     return random_vector(random.Random(f"large:{label}:{m}"), m, first=2, gap=3, exact=exact)
 
 
+def _spec(label):
+    """A preset, with an inner A_k for a ``+A<k>`` suffix."""
+    name, _, inner = label.partition("+A")
+    spec = t.preset(name)
+    return spec.with_inner_ak(int(inner)) if inner else spec
+
+
 class TestLargeSupports:
     """Supports of 16 to 40 points, past the reach of ``brute_norm``."""
 
@@ -234,10 +242,7 @@ class TestLargeSupports:
     @pytest.mark.parametrize("label", PRESETS + ("geometric-s:1/2+A3",))
     @pytest.mark.parametrize("m", LARGE_SIZES)
     def test_witness_is_valid_and_attains(self, label, m):
-        name, _, inner = label.partition("+A")
-        spec = t.preset(name)
-        if inner:
-            spec = spec.with_inner_ak(int(inner))
+        spec = _spec(label)
         x = _large_vector(label, m, exact=spec.exact)
         result = norm(spec, x)
         assert not t.validate(spec, result.witness)
@@ -313,6 +318,53 @@ class TestWorkCounters:
         engine.fill()
         assert engine.max_n_explored >= 30
         assert 0 < len(calls) <= m * (m - 1) // 2
+
+    @pytest.mark.parametrize("label, m, fill_cap", [("schlumprecht", 44, 13_874), ("tsirelson", 40, 9_017)])
+    def test_k_steps_of_the_fill_and_of_the_witness(self, label, m, fill_cap, monkeypatch):
+        # a k-step is one C_k(e) value; the caps are the counts of the
+        # engine that kept split arrays, and the witness re-derives its
+        # splits with at most a tenth of the fill's k-steps
+        steps = [0]
+        fill_rows = _Column.fill_rows
+
+        def counted(column, start, stop, need):
+            for e in range(start, stop, -1):
+                steps[0] += max(0, min(column.j - e, need) - column.kdone[e])
+            return fill_rows(column, start, stop, need)
+
+        monkeypatch.setattr(_Column, "fill_rows", counted)
+        spec = _spec(label)
+        engine = _Engine(spec, _large_vector(label, m, exact=spec.exact))
+        engine.fill()
+        fill_steps, steps[0] = steps[0], 0
+        engine.witness(0, m)
+        assert 0 < fill_steps <= fill_cap
+        assert steps[0] <= fill_steps // 10
+
+
+class TestNoCyclicGarbage:
+    """An engine is freed by reference counting alone: no call leaves
+    objects that only the cyclic collector can reclaim."""
+
+    @pytest.mark.parametrize("label, m", [("tsirelson", 40), ("schlumprecht", 44), ("geometric-s:1/2+A3", 36)])
+    def test_calls_leave_no_cycles(self, label, m):
+        from tsirelson.averages import interval_norm_table
+
+        spec = _spec(label)
+        x = _large_vector(label, m, exact=spec.exact)
+        calls = (
+            lambda: norm(spec, x),
+            lambda: admissible_sum(spec, x, t.Sn(1)),
+            lambda: interval_norm_table(spec, x),
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            for call in calls:
+                call()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _best_partition_sum(spec, x, coords, fam):
