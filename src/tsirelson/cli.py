@@ -20,7 +20,7 @@ from fractions import Fraction
 # package.  ``audit`` stays at module scope: tracing tools that wrap the
 # package's functions find the loaded modules through ``tsirelson.cli``.
 from . import audit as audit_mod
-from .errors import HypothesisViolated, OverBudget, ParseError, TsirelsonError
+from .errors import HypothesisViolated, OverBudget, ParseError, SupportTooLarge, TsirelsonError
 from .scalars import render_scalar
 
 
@@ -56,24 +56,31 @@ def _emit(args, payload: dict, text: str) -> None:
             fh.write("\n")
 
 
-def _cmd_norm(args) -> int:
-    from .norm import norm as compute_norm
+def _norm_of(args):
+    """The norm of the vector file, refused above the support bound before
+    the fill starts."""
+    from .norm import NORM_SUPPORT_BOUND, norm as compute_norm
 
     spec = _load_space(args)
     x = _load_vector(args.vector, spec)
-    result = compute_norm(spec, x)
-    payload = result.as_dict()
+    if len(x) > NORM_SUPPORT_BOUND:
+        raise SupportTooLarge(
+            f"the vector has {len(x)} support points; norm and witness handle "
+            f"up to {NORM_SUPPORT_BOUND}"
+        )
+    return compute_norm(spec, x)
+
+
+def _cmd_norm(args) -> int:
+    payload = _norm_of(args).as_dict()
     _emit(args, payload, f"norm = {payload['value']}\nwitness = {payload['witness']}")
     return 0
 
 
 def _cmd_witness(args) -> int:
     from .functionals import format_functional
-    from .norm import norm as compute_norm
 
-    spec = _load_space(args)
-    x = _load_vector(args.vector, spec)
-    result = compute_norm(spec, x)
+    result = _norm_of(args)
     _emit(args, result.as_dict(), format_functional(result.witness))
     return 0
 

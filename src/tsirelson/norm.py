@@ -629,6 +629,14 @@ class _Engine:
         return fold(resolve(i, j), leaf, lambda span, kids: Node(span[2][0], tuple(kids)), pieces)
 
 
+# the largest support the ``norm`` and ``witness`` commands take; the fill
+# grows as about m^4, and at 224 points the slowest preset at its default
+# parameters, geometric-s:1/2 (with an inner A_3), took 24 s (28 s) on a
+# 2-vCPU Xeon.  Weights that decay more slowly explore more levels and cost
+# more per point.
+NORM_SUPPORT_BOUND = 224
+
+
 def norm(space: SpaceSpec, x: SparseVector) -> NormResult:
     """Norm of a finitely supported vector, with a witness functional and a
     cutoff certificate for the unexplored weight indices."""

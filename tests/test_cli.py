@@ -87,6 +87,32 @@ class TestCommands:
         assert code == 2
         assert refusal in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["norm", "witness"])
+    def test_support_over_the_norm_bound_is_refused_before_the_fill(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        from tsirelson.norm import NORM_SUPPORT_BOUND, _Engine
+
+        class Filled(Exception):
+            pass
+
+        def fill(engine):
+            raise Filled
+
+        monkeypatch.setattr(_Engine, "fill", fill)
+        vec = tmp_path / "x.vec"
+        argv = [command, "--space", "tsirelson", "--vector", str(vec)]
+        for size in (NORM_SUPPORT_BOUND, NORM_SUPPORT_BOUND + 1):
+            vec.write_text(format_vector(t.SparseVector(tuple((c, 1) for c in range(1, size + 1)))))
+            if size == NORM_SUPPORT_BOUND:
+                with pytest.raises(Filled):
+                    run(argv)
+            else:
+                assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{NORM_SUPPORT_BOUND + 1} support points" in err
+        assert f"up to {NORM_SUPPORT_BOUND}" in err
+
     def test_unbounded_family_stays_1(self, capsys):
         code = run(["audit", "l3", "--level", "3", "--trials", "5", "--seed", "1"])
         assert code == 1
