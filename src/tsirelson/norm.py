@@ -36,11 +36,12 @@ worth at most its l1 norm), and the level's value is the l1 norm.
 Tables.  Only a chain that is the inner chain of some level keeps its value
 table ``A[i][j]`` (with a decision code).  The values ``C_k(a)`` exist for
 the current right end j only, computed on demand, row by row; no split
-point is kept.  The witness rebuilds the splits of a node from a fresh
-column over the final table: the first e with ``A[a][e] + C_{k-1}(e)``
-equal to ``C_k(a)`` at each step, the split the fill's first maximum took.
-Chains are created when the weight loop first reaches their level, and a
-new table is backfilled over the intervals already done.
+point is kept.  The witness rebuilds the splits of a node from the column
+of its right end over the final table: the first e with
+``A[a][e] + C_{k-1}(e)`` equal to ``C_k(a)`` at each step, the split the
+fill's first maximum took.  Chains are created when the weight loop first
+reaches their level, and a new table is backfilled over the intervals
+already done.
 
 Exclusive and full values.  Only one candidate of [i, j) reads ``D[i][j]``:
 the single piece, through k = 1 at every level of the chain.  The weight
