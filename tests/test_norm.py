@@ -321,9 +321,9 @@ class TestWorkCounters:
 
     @pytest.mark.parametrize("label, m, fill_cap", [("schlumprecht", 44, 13_874), ("tsirelson", 40, 9_017)])
     def test_k_steps_of_the_fill_and_of_the_witness(self, label, m, fill_cap, monkeypatch):
-        # a k-step is one C_k(e) value; the caps are the counts of the
-        # engine that kept split arrays, and the witness re-derives its
-        # splits with at most a tenth of the fill's k-steps
+        # a k-step is one C_k(e) value; the caps are the fill's counts on
+        # these inputs, and the witness re-derives its splits with at most
+        # a tenth of the fill's k-steps
         steps = [0]
         fill_rows = _Column.fill_rows
 
