@@ -553,9 +553,7 @@ def equal_norm_partition(
         key = (j, parts)
         if key in memo:
             return memo[key]
-        if parts == 1:
-            result = [(0, j)]
-        elif parts == 2:
+        if parts == 2:
             split = _two_part_split(d, j)
             result = [(0, split), (split, j)]
         else:

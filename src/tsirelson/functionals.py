@@ -129,39 +129,38 @@ class Violation:
 
 
 def _checks(space: SpaceSpec):
-    """Fold callbacks behind ``validate``: a subtree folds to its first leaf
-    coordinate, its least and greatest coordinates, and its violations in
-    pre-order, as (reversed path list, reason).  A node with an unavailable
-    index or children that are not successive reports only that."""
+    """Fold callbacks behind ``validate``: a subtree folds to its least and
+    greatest coordinates and its violations in pre-order, as (reversed path
+    list, reason).  A node with an unavailable index or children that are
+    not successive reports only that."""
     top = space.max_index()
 
     def node(g: Node, kids):
-        first = kids[0][0]
-        lo, hi = min(kid[1] for kid in kids), max(kid[2] for kid in kids)
+        lo, hi = min(kid[0] for kid in kids), max(kid[1] for kid in kids)
         if top is not None and g.weight_index > top:
-            return first, lo, hi, [([], f"weight index {g.weight_index} not available")]
+            return lo, hi, [([], f"weight index {g.weight_index} not available")]
         for a, b in zip(kids, kids[1:]):
-            if a[2] >= b[1]:
-                return first, lo, hi, [([], "children supports not successive")]
-        # the children are successive, so their first leaves increase
+            if a[1] >= b[0]:
+                return lo, hi, [([], "children supports not successive")]
+        # the children are successive, so their minima increase
         minima = tuple(kid[0] for kid in kids)
         fam = space.family_for_index(g.weight_index)
         out = []
         if not families.is_member(fam, minima):
             out.append(([], f"children minima {minima} not a member of {fam}"))
-        for i, (_, _, _, below) in enumerate(kids):
+        for i, (_, _, below) in enumerate(kids):
             for path, _ in below:
                 path.append(i)
             out.extend(below)
-        return first, lo, hi, out
+        return lo, hi, out
 
-    return (lambda g: (g.coordinate, g.coordinate, g.coordinate, [])), node
+    return (lambda g: (g.coordinate, g.coordinate, [])), node
 
 
 def validate(space: SpaceSpec, f: TreeFunctional) -> List[Violation]:
     """Structured admissibility check; an empty list means the functional is
     in the norming set of the space."""
-    found = fold(f, *_checks(space))[3]
+    found = fold(f, *_checks(space))[2]
     return [Violation(tuple(reversed(path)), reason) for path, reason in found]
 
 
@@ -286,7 +285,7 @@ def split_xk(space: SpaceSpec, f: TreeFunctional) -> List[TreeFunctional]:
 
     def node(g: Node, kids):
         checked = check_node(g, [c for c, _ in kids])
-        if not checked[3]:
+        if not checked[2]:
             return checked, [g]
         parts = [p for _, split in kids for p in split]
         minima = tuple(next(leaves(p)).coordinate for p in parts)

@@ -27,37 +27,45 @@ A level partitions an interval into at most ``budget`` groups (n for
 ``A_n``, the first coordinate for ``S_1``), each group partitioned by the
 inner chain; the innermost pieces are worth their ``D`` value.  With
 ``C_k(a)`` the best sum over partitions of [a, j) into exactly k inner-chain
-groups, a level's value on [i, j) is the first maximum over k = 1, 2, ...
-of ``C_k(i)``, where ``C_1(i)`` is the inner chain's own value on [i, j) and
-``C_k(a) = max_e A[a][e] + C_{k-1}(e)`` (first maximizing split e).  When
-the all-singletons partition is admissible it is optimal (every piece is
-worth at most its l1 norm), and the level's value is the l1 norm.
+groups, ``C_1(a)`` is the inner chain's own value on [a, j) and
+``C_k(a) = max_e A[a][e] + C_{k-1}(e)`` (first maximizing split e).  The
+families are hereditary and spreading, so splitting a group never lowers a
+sum (triangle inequality on restrictions; the halves keep admissible
+minima): ``C_k(a)`` is nondecreasing in k, and a level's value on [i, j) is
+``C_K(i)`` at the group cap ``K = min(budget, j - i)``.  When the
+all-singletons partition is admissible it is optimal (every piece is worth
+at most its l1 norm), and the level's value is the l1 norm.
 
 Tables.  Only a chain that is the inner chain of some level keeps its value
-table ``A[i][j]`` (with a decision code).  The values ``C_k(a)`` exist for
-the current right end j only, computed on demand, row by row; no split
-point is kept.  The witness rebuilds the splits of a node from the column
-of its right end over the final table: the first e with
-``A[a][e] + C_{k-1}(e)`` equal to ``C_k(a)`` at each step, the split the
-fill's first maximum took.  Chains are created when the weight loop first
-reaches their level, and a new table is backfilled over the intervals
-already done.
+table ``A[i][j]``.  The values ``C_k(a)`` exist for the current right end j
+only, computed on demand, row by row; no split point and no decision is
+kept.  The witness reads each decision off the final tables, with the tie
+rules of a first maximum over k = 1, 2, ...: all singletons when they are
+admissible, else the inner chain on the whole interval when its value
+attains the level's, else the least k whose ``C_k(a)`` does, split at the
+first e with ``A[a][e] + C_{k-1}(e)`` equal to ``C_k(a)`` at each step.  It
+rebuilds these from the column of the node's right end.  Chains are
+created when the weight loop first reaches their level, and a new table is
+backfilled over the intervals already done.
 
 Exclusive and full values.  Only one candidate of [i, j) reads ``D[i][j]``:
 the single piece, through k = 1 at every level of the chain.  The weight
 loop therefore uses each head's *exclusive* value (that candidate left out),
 and the *full* table values at [i, j) are finalized right after ``D[i][j]``.
+The decision of ``D[i][j]`` names the level whose split (or singletons)
+gives the winning exclusive value, never the single piece itself.
 
 A-ladders.  In an A-type space every head ``A_n`` cuts into pieces of D
 itself, so its exclusive value on [i, j) is the l1 norm when j - i <= n and
-otherwise the first maximum of ``C_k(i)`` over 2 <= k <= n, which the base
-column keeps as a running maximum.  The weight loop fills that running
-maximum in one call per interval, up to the last n whose tail bound beats a
-lower bound of ``D[i][j]``: its best so far (at least ``D[i+1][j]``) or
-``D[i][j-1]``, whichever is larger.  It reads each explored n off that fill,
-and fills further only if its own best is still below the bound there.
+otherwise ``C_n(i)``.  The weight loop fills the base column in one call per
+interval, up to the last n whose tail bound beats a lower bound of
+``D[i][j]``: its best so far (at least ``D[i+1][j]``) or ``D[i][j-1]``,
+whichever is larger.  It reads each explored n off that fill, and fills
+further only if its own best is still below the bound there.
 
-Arithmetic.  Float spaces fill in floats, in the order of addition above.
+Arithmetic.  Float spaces fill in floats, in the order of addition above,
+and take ``C_K(i)`` even where rounding puts some ``C_k(i)``, k < K, an ulp
+above it.
 Exact spaces fill in integers over one scale ``G = L * Q**(m-1)``: L is the
 common denominator of |x|, and Q that of theta_n over the weight indices
 that can be explored (those with ``theta_tail_sup(n) > 1/m``, since an
@@ -138,22 +146,19 @@ class _Level:
 
     ``budgets[i]`` bounds the groups of a partition of [i, j); the
     all-singletons partition of [i, j) is admissible iff j <= fast[i].
-    ``F``/``FT`` (rows/columns) and ``code`` exist once the level is the
-    inner chain of another: code 0 is all singletons, 1 the inner chain on
-    the whole interval, k >= 2 a split into k groups.  ``live`` is the
-    column of the right end in progress.  The base level (empty stack) has
-    D as its table.
+    The value table ``F``/``FT`` (rows/columns) exists once the level is
+    the inner chain of another; ``live`` is the column of the right end in
+    progress.  The base level (empty stack) has D as its table.
     """
 
-    __slots__ = ("budgets", "inner", "fast", "F", "FT", "code", "live", "queries")
+    __slots__ = ("budgets", "inner", "fast", "F", "FT", "live")
 
     def __init__(self, budgets, inner, fast):
         self.budgets = budgets
         self.inner = inner
         self.fast = fast
-        self.F = self.FT = self.code = None
+        self.F = self.FT = None
         self.live = None
-        self.queries = None
 
 
 class _Column:
@@ -161,14 +166,13 @@ class _Column:
 
     C[1] is the chain's table column j; C[k][a] for k >= 2 is filled on
     demand up to kdone[a].  Rows [low_row, j) are filled at least to
-    min(top_k, j - a).  ``best(i, K)`` is the first maximum of C_k(i) over
-    2 <= k <= K; the running maximum of the last row asked is kept, so
-    that levels sharing this inner chain share it.  The column holds the
-    chain's table, not the chain, so that the chain's ``live`` column makes
-    no reference cycle.
+    min(top_k, j - a).  ``best(i, K)`` is C_K(i), the best sum over at most
+    K groups: splitting a group never lowers a sum, so C_k(i) is
+    nondecreasing in k.  The column holds the chain's table, not the chain,
+    so that the chain's ``live`` column makes no reference cycle.
     """
 
-    __slots__ = ("F", "j", "C", "kdone", "top_k", "low_row", "row", "run")
+    __slots__ = ("F", "j", "C", "kdone", "top_k", "low_row")
 
     def __init__(self, level: _Level, j: int):
         self.F = level.F
@@ -177,8 +181,6 @@ class _Column:
         self.kdone = [1] * j
         self.top_k = 1
         self.low_row = j
-        self.row = -1
-        self.run = None
 
     def fill_rows(self, start: int, stop: int, need: int):
         """Fill C_k(e) for k <= min(need, j - e) on rows e = start down to
@@ -201,7 +203,7 @@ class _Column:
             kdone[e] = k_to
 
     def best(self, i: int, K: int):
-        """(value, k) of the first maximum of C_k(i) over 2 <= k <= K."""
+        """C_K(i), with the rows it reads filled."""
         need = K - 1
         if need >= 2:
             # rows right of i must hold C_k for k <= need
@@ -216,20 +218,7 @@ class _Column:
                 self.low_row = i + 1
         if self.kdone[i] < K:
             self.fill_rows(i, i - 1, K)
-        if self.row != i:
-            self.row = i
-            self.run = [None, None]
-        run = self.run
-        if len(run) <= K:
-            C = self.C
-            k = len(run)
-            top = run[-1]
-            for k in range(k, K + 1):
-                c = C[k][i]
-                if top is None or c > top[0]:
-                    top = (c, k)
-                run.append(top)
-        return run[K]
+        return self.C[K][i]
 
 
 class _Engine:
@@ -314,7 +303,6 @@ class _Engine:
         size = self.m + 1
         level.F = [[None] * size for _ in range(size)]
         level.FT = [[None] * size for _ in range(size)]
-        level.code = [[None] * size for _ in range(size)]
 
     # -- chains --------------------------------------------------------------
 
@@ -374,9 +362,7 @@ class _Engine:
             column = self._column(level.inner, j)
             stop = self._i if j == self._j else -1
             for a in range(j - 1, stop, -1):
-                v, code = self._full(level, a, j, prefix[j] - prefix[a], column)
-                level.F[a][j] = level.FT[j][a] = v
-                level.code[a][j] = code
+                level.F[a][j] = level.FT[j][a] = self._full(level, a, j, prefix[j] - prefix[a], column)
         self._tables.append(level)
 
     # -- exactly-k values ----------------------------------------------------
@@ -391,40 +377,36 @@ class _Engine:
             column = level.live = _Column(level, j)
         return column
 
-    def _rest(self, level: _Level, i: int, j: int, column: _Column):
-        """First maximum of C_k(i) over 2 <= k <= budget, with its k."""
-        K = min(level.budgets[i], j - i)
-        return column.best(i, K) if K >= 2 else None
-
     def _full(self, level: _Level, i: int, j: int, ell, column: _Column):
-        """(value, code) of the level on [i, j), D[i][j] included."""
+        """The level's value on [i, j), D[i][j] included: C_K(i) at the
+        group cap K."""
         if j <= level.fast[i]:
-            return ell, 0
-        v = level.inner.F[i][j]
-        rest = self._rest(level, i, j, column)
-        if rest is not None and rest[0] > v:
-            return rest
-        return v, 1
+            return ell
+        return column.best(i, min(level.budgets[i], j - i))
 
     # -- the fill --------------------------------------------------------------
 
     def _exclusive(self, level: _Level, i: int, j: int, ell):
-        """(value, code) of the level on the interval in progress, without
-        the single piece [i, j) itself; None if nothing is left."""
+        """The level's value on the interval in progress without the single
+        piece [i, j) itself, as (value, deciding level, split), or None if
+        nothing is left.  The deciding level is the one whose partition into
+        two or more groups (split = value), or into singletons (split =
+        None), attains it; an inner chain on the whole interval wins ties."""
         if level is self._base:
             return None
         memo = self._exclusives
         if level in memo:
             return memo[level]
         if j <= level.fast[i]:
-            result = (ell, 0)
+            result = (ell, level, None)
         else:
             inner = self._exclusive(level.inner, i, j, ell)
-            rest = self._rest(level, i, j, self._column(level.inner, j))
-            if inner is not None and (rest is None or inner[0] >= rest[0]):
-                result = (inner[0], 1)
+            K = min(level.budgets[i], j - i)
+            rest = self._column(level.inner, j).best(i, K) if K >= 2 else None
+            if rest is None or inner is not None and inner[0] >= rest:
+                result = inner
             else:
-                result = rest
+                result = (rest, level, rest)
         memo[level] = result
         return result
 
@@ -445,9 +427,9 @@ class _Engine:
                 D[i][j] = DT[j][i] = best
                 decisions[i][j] = decision
                 for level in self._tables:
-                    v, code = self._full(level, i, j, ell, self._column(level.inner, j))
-                    level.F[i][j] = level.FT[j][i] = v
-                    level.code[i][j] = code
+                    level.F[i][j] = level.FT[j][i] = self._full(
+                        level, i, j, ell, self._column(level.inner, j)
+                    )
         self._i = -1
         if self.cutoff_bound is None:
             # single-family spaces, or tiny supports where the loop never ran
@@ -469,7 +451,7 @@ class _Engine:
         single = space.kind == SINGLE
         tails, thetas, heads = self._tails, self._thetas, self._heads
         ladder = self._ladder
-        run = None
+        column = None
         n = self._n_start
         while not (single and n > 1):
             tail = tails.get(n)
@@ -499,18 +481,16 @@ class _Engine:
                     if head is None:
                         head = self._head(n)
                     cand = self._exclusive(head, i, j, ell)
+                elif j - i <= n:
+                    # A_n takes all singletons when they fit
+                    cand = (ell, ladder, None)
                 else:
-                    # A_n takes all singletons when they fit, else the first
-                    # maximum of C_k(i) over 2 <= k <= n, read off one fill
-                    head = ladder
-                    if j - i <= n:
-                        cand = (ell, 0)
-                    else:
-                        if run is None:
-                            column = self._column(self._base, j)
-                            column.best(i, self._reach(i, j, ell, n, best))
-                            run = column.run
-                        cand = run[n] if n < len(run) else column.best(i, n)
+                    # else C_n(i), read off one fill of the column
+                    if column is None:
+                        column = self._column(self._base, j)
+                        column.best(i, self._reach(i, j, ell, n, best))
+                    c = column.C[n][i] if n <= column.kdone[i] else column.best(i, n)
+                    cand = (c, ladder, c)
                 if cand is not None:
                     if exact:
                         value, rem = divmod(p * cand[0], q)
@@ -520,11 +500,7 @@ class _Engine:
                         value = theta * cand[0]
                     if value > best:
                         best = value
-                        level, code = head, cand[1]
-                        while code == 1:
-                            level = level.inner
-                            code = self._exclusives[level][1]
-                        decision = (n, level, code)
+                        decision = (n, cand[1], cand[2])
             n += 1
         return best, decision
 
@@ -551,24 +527,13 @@ class _Engine:
     # -- results ---------------------------------------------------------------
 
     def _best(self, i: int, j: int, family):
-        """(level, value, code) of [i, j): D, or the family's chain."""
-        if family is None:
-            return self._base, self._base.F[i][j], None
-        level = self._level((family,))
-        if level is self._base:
-            return level, level.F[i][j], None
+        """(level, value) of [i, j): D, or the family's chain."""
+        level = self._base if family is None else self._level((family,))
         if level.F is not None:
-            return level, level.F[i][j], level.code[i][j]
+            return level, level.F[i][j]
         self._need_table(level.inner)
-        if level.queries is None:
-            level.queries = {}
-        found = level.queries.get((i, j))
-        if found is None:
-            column = self._column(level.inner, j)
-            prefix = self._prefix
-            found = self._full(level, i, j, prefix[j] - prefix[i], column)
-            level.queries[(i, j)] = found
-        return (level,) + found
+        prefix = self._prefix
+        return level, self._full(level, i, j, prefix[j] - prefix[i], self._column(level.inner, j))
 
     def value(self, i: int, j: int, family: Optional[families.FamilyExpr] = None):
         """The norm of x restricted to the support positions [i, j) or, with
@@ -581,35 +546,44 @@ class _Engine:
     def pieces(self, i: int, j: int, family: families.FamilyExpr) -> List[Interval]:
         """The support-position intervals of the partition behind
         value(i, j, family)."""
-        level, _, code = self._best(i, j, family)
-        if level is self._base:
-            return [(i, j)]
-        return self._expand(level, i, j, code, [])
+        level, value = self._best(i, j, family)
+        return self._expand(level, i, j, value, [])
 
-    def _expand(self, level: _Level, a: int, b: int, code: int, out: List[Interval]):
-        """Append the base pieces of the level's decision `code` on [a, b)."""
-        if code == 0:
+    def _expand(self, level: _Level, a: int, b: int, value, out: List[Interval]):
+        """Append the base pieces of the level's partition of [a, b) worth
+        `value`, read off the final tables with the fill's tie rules: all
+        singletons when they are admissible, else the inner chain on the
+        whole interval when it attains the value, else a split."""
+        if level is self._base:
+            out.append((a, b))
+        elif b <= level.fast[a]:
             out.extend((t, t + 1) for t in range(a, b))
-            return out
+        elif level.inner.F[a][b] == value:
+            self._expand(level.inner, a, b, value, out)
+        else:
+            self._split(level, a, b, value, out)
+        return out
+
+    def _split(self, level: _Level, a: int, b: int, value, out: List[Interval]):
+        """Append the base pieces of the level's split of [a, b) worth
+        `value`: into the least k >= 2 groups whose C_k(a) attains it (the
+        fill's first maximum over k, as C_k(a) is nondecreasing in k), at
+        the first split whose sum attains C_k(a) at each step.  The column
+        reads only final entries and so repeats the fill's values."""
         inner = level.inner
+        column = self._column(inner, b)
+        k = 2
+        while column.best(a, k) != value:
+            k += 1
+        C = column.C
         bounds = [a]
-        if code >= 2:
-            # the first split of each step whose sum attains C_k(a), as the
-            # fill's first maximum; the column reads only final entries and
-            # so repeats the fill's values
-            column = self._column(inner, b)
-            column.best(a, code)
-            C = column.C
-            for k in range(code, 1, -1):
-                row, rest, target = inner.F[a], C[k - 1], C[k][a]
-                a = next(e for e in range(a + 1, b - k + 2) if row[e] + rest[e] == target)
-                bounds.append(a)
+        for k in range(k, 1, -1):
+            row, rest, target = inner.F[a], C[k - 1], C[k][a]
+            a = next(e for e in range(a + 1, b - k + 2) if row[e] + rest[e] == target)
+            bounds.append(a)
         bounds.append(b)
         for s, e in zip(bounds, bounds[1:]):
-            if inner is self._base:
-                out.append((s, e))
-            else:
-                self._expand(inner, s, e, inner.code[s][e], out)
+            self._expand(inner, s, e, inner.F[s][e], out)
         return out
 
     def witness(self, i: int, j: int) -> TreeFunctional:
@@ -622,7 +596,12 @@ class _Engine:
 
         def pieces(span):
             i, j, d = span
-            return None if d == _LEAF else [resolve(*p) for p in self._expand(d[1], i, j, d[2], [])]
+            if d == _LEAF:
+                return None
+            _, level, split = d
+            if split is None:
+                return [resolve(t, t + 1) for t in range(i, j)]
+            return [resolve(*p) for p in self._split(level, i, j, split, [])]
 
         def leaf(span):
             return Leaf(1 if self.values[span[0]] >= 0 else -1, self.coords[span[0]])

@@ -68,7 +68,7 @@ class TestValidate:
         hidden = N(1, (L(1, 7), L(1, 6)))  # below an unavailable index
         f = N(1, (L(1, 2), N(1, (L(1, 3), N(1, (L(1, 5), L(1, 4))))), N(2, (hidden, L(1, 9)))))
         assert t.validate(TSIRELSON, f) == [
-            Violation((), "children minima (2, 3, 7) not a member of S1"),
+            Violation((), "children minima (2, 3, 6) not a member of S1"),
             Violation((1, 1), "children supports not successive"),
             Violation((2,), "weight index 2 not available"),
         ]

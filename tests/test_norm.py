@@ -15,6 +15,7 @@ from tsirelson.scalars import FLOAT64, close as scalar_close
 
 TSIRELSON = t.preset("tsirelson")
 GEOM_S = t.preset("geometric-s:1/2")
+GEOM_S_SLOW = t.preset("geometric-s:9/10")
 SCHLUMPRECHT = t.preset("schlumprecht")
 C0_A2 = t.SpaceSpec("single", single_family=t.An(2), single_theta=Fraction(1, 2))
 ELL2 = t.preset("ellp:2")
@@ -89,7 +90,7 @@ class TestWitness:
 
 class TestOracle:
     @pytest.mark.parametrize(
-        "spec", [TSIRELSON, GEOM_S, C0_A2], ids=lambda s: s.name or "c0"
+        "spec", [TSIRELSON, GEOM_S, GEOM_S_SLOW, C0_A2], ids=lambda s: s.name or "c0"
     )
     def test_exact_agreement(self, spec, rng):
         for _ in range(30):
@@ -289,7 +290,18 @@ class TestEngineContract:
             norm(spec, x).witness
         )
 
-    def test_value_accessor(self):
+    FAMILIES = (
+        t.Sn(0),  # its chain is D itself
+        t.An(1),
+        t.An(2),
+        t.An(3),
+        t.An(4),
+        t.Sn(1),
+        t.Sn(2),
+        t.Compose(t.An(3), t.Sn(1)),
+    )
+
+    def test_value_accessor(self, rng):
         engine = _Engine(TSIRELSON, self.X)
         engine.fill()
         for a in range(engine.m):
@@ -297,6 +309,29 @@ class TestEngineContract:
                 piece = self.X.restrict(engine.coords[a:b])
                 assert engine.value(a, b) == norm(TSIRELSON, piece).value
         assert engine.value(0, engine.m, t.An(3)) == sum(engine.abs_values)
+        # a level's value is C_K at the group cap K, and its pieces are read
+        # off the final tables; on the flat vector in geometric-s:9/10 the
+        # S1 chain already holds a table after the fill (the inner chain of
+        # the head S2)
+        flat = t.SparseVector(tuple((c, Fraction(1)) for c in range(1, 6)))
+        for spec in (TSIRELSON, GEOM_S_SLOW):
+            for x in (self.X, flat, random_vector(rng, 5, first=1, gap=2)):
+                engine = _Engine(spec, x)
+                engine.fill()
+                if x is flat:
+                    assert (engine._level((t.Sn(1),)).F is not None) == (spec is GEOM_S_SLOW)
+                coords = engine.coords
+                for a in range(engine.m):
+                    for b in range(a + 1, engine.m + 1):
+                        for fam in self.FAMILIES:
+                            value = engine.value(a, b, fam)
+                            assert value == _best_partition_sum(spec, x, coords[a:b], fam), (a, b, fam)
+                            pieces = engine.pieces(a, b, fam)
+                            assert [s for s, _ in pieces] + [b] == [a] + [e for _, e in pieces]
+                            assert t.is_member(fam, tuple(coords[s] for s, _ in pieces))
+                            assert sum(engine.value(s, e) for s, e in pieces) == value
+                        by_cap = [engine.value(a, b, t.An(k)) for k in range(1, b - a + 2)]
+                        assert by_cap == sorted(by_cap)
 
 
 class TestWorkCounters:
