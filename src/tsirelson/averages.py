@@ -19,6 +19,7 @@ from .audit import AuditReport, AuditRow
 from .errors import (
     HypothesisViolated,
     InsufficientPool,
+    ParseError,
     PoolExhausted,
     SizeOverflow,
     SupportTooLarge,
@@ -105,8 +106,7 @@ def build_lr_average(space: SpaceSpec, pool: Iterable[SparseVector], r, length: 
     if len(blocks) < length:
         raise InsufficientPool(f"pool provided {len(blocks)} of {length} blocks")
     total = sum_vectors(blocks)
-    nrm = norm(space, total).value
-    x = total.scale(Fraction(1) / nrm if space.exact else 1.0 / float(nrm))
+    x = total.scale(1 / norm(space, total).value)
     c_est = estimate_equiv_const(space, blocks, r)
     return x, c_est
 
@@ -202,7 +202,7 @@ def build_averaging_tree(
     theta_est = derived_params(space, 8).theta_limit_estimate
     if space.exact and not isinstance(theta_est, Fraction):
         theta_est = Fraction(theta_est).limit_denominator(10**6)
-    eps = Fraction(epsilon) if space.exact else float(epsilon)
+    eps = space.scalar(epsilon)
     pool_iter = iter(pool)
     counters = {j: 0 for j in range(M + 1)}
     prev_max: dict = {j: None for j in range(M + 1)}
@@ -234,9 +234,7 @@ def build_averaging_tree(
         children = [build(level - 1, max(min_start, k))]
         for _ in range(k - 1):
             children.append(build(level - 1, 1))
-        vector = sum_vectors([c.vector for c in children]).scale(
-            Fraction(1, k) if space.exact else 1.0 / k
-        )
+        vector = sum_vectors([c.vector for c in children]).scale(1 / space.scalar(k))
         node = AvgNode(level, vector, tuple(children))
         prev_max[level] = vector.support[-1]
         return node
@@ -279,37 +277,38 @@ def tree_to_dict(tree: AveragingTree) -> dict:
 
 
 def tree_from_dict(data: dict, exact: bool = True) -> AveragingTree:
+    """The tree that ``tree_to_dict`` wrote, in exact or float arithmetic.
+    Missing keys and values of the wrong shape raise ``ParseError``."""
     from .scalars import parse_scalar
 
-    by_level = {entry["level"]: entry["nodes"] for entry in data["levels"]}
-    leaves = []
-    for record in by_level[0]:
-        values = [parse_scalar(v) for v in record["values"]]
-        if not exact:
-            values = [float(v) for v in values]
-        leaves.append(
-            AvgNode(0, SparseVector(tuple(zip(record["support"], values))))
-        )
-    current = leaves
-    for j in range(1, data["depth"] + 1):
-        nodes = []
-        for record in by_level[j]:
-            lo, hi = record["interval"]
-            children = tuple(current[lo - 1 : hi])
-            k = len(children)
-            vector = sum_vectors([c.vector for c in children]).scale(
-                Fraction(1, k) if exact else 1.0 / k
-            )
-            nodes.append(AvgNode(j, vector, children))
-        current = nodes
-    epsilon = parse_scalar(data["epsilon"])
-    theta = parse_scalar(data["theta"])
-    if not exact:
-        epsilon = float(epsilon)
-        theta = float(theta)
-    return AveragingTree(
-        data["depth"], epsilon, theta, current[0], data.get("relaxed_scale")
-    )
+    scalar = Fraction if exact else float
+
+    def number(text):
+        return scalar(parse_scalar(text))
+
+    try:
+        depth, relaxed = data["depth"], data.get("relaxed_scale")
+        if not (relaxed is None or isinstance(relaxed, int)):
+            raise ParseError("relaxed_scale must be an integer")
+        by_level = {entry["level"]: entry["nodes"] for entry in data["levels"]}
+        current = []
+        for leaf in by_level[0]:
+            entries = zip(leaf["support"], map(number, leaf["values"]), strict=True)
+            current.append(AvgNode(0, SparseVector(tuple(entries))))
+        for j in range(1, depth + 1):
+            nodes = []
+            for record in by_level[j]:
+                lo, hi = record["interval"]
+                if not 1 <= lo <= hi <= len(current):
+                    raise ParseError(f"level {j} has the interval {[lo, hi]} out of range")
+                children = tuple(current[lo - 1 : hi])
+                vector = sum_vectors([c.vector for c in children]).scale(1 / scalar(len(children)))
+                nodes.append(AvgNode(j, vector, children))
+            current = nodes
+        epsilon, theta = number(data["epsilon"]), number(data["theta"])
+        return AveragingTree(depth, epsilon, theta, current[0], relaxed)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ParseError(f"not an averaging tree: {type(exc).__name__}: {exc}") from None
 
 
 def check_averaging_tree(space: SpaceSpec, tree: AveragingTree) -> AuditReport:
@@ -335,9 +334,7 @@ def check_averaging_tree(space: SpaceSpec, tree: AveragingTree) -> AuditReport:
             if len(kids) > kids[0].vector.support[0]:
                 ok_admissible = False
             k = len(kids)
-            avg = sum_vectors([c.vector for c in kids]).scale(
-                Fraction(1, k) if space.exact else 1.0 / k
-            )
+            avg = sum_vectors([c.vector for c in kids]).scale(1 / space.scalar(k))
             if avg.support != node.vector.support or not all(
                 close(a, b, space.exact) for a, b in zip(avg.values, node.vector.values)
             ):
@@ -373,8 +370,7 @@ def audit_tav(space: SpaceSpec, tree: AveragingTree, delta) -> AuditReport:
     checked against the (1-delta)^j theta^j lower bound.
     """
     x = tree.root.vector
-    nrm = norm(space, x).value
-    y = x.scale(Fraction(1) / nrm if space.exact else 1.0 / float(nrm))
+    y = x.scale(1 / norm(space, x).value)
     theta = float(tree.theta)
     theta1 = float(space.theta_for_index(1))
     rows = []
@@ -408,9 +404,6 @@ class SCC:
     epsilon: object
     support: Tuple[int, ...]
     coefficients: Tuple[object, ...]
-
-    def as_vector(self) -> SparseVector:
-        return SparseVector(tuple(zip(self.support, self.coefficients)))
 
 
 def build_scc(j: int, epsilon, start: int) -> SCC:
@@ -532,8 +525,9 @@ def equal_norm_partition(
         raise ValueError("m must be >= 1")
     if not (0 < float(delta) < 1):
         raise ValueError("delta must lie in (0,1)")
+    delta = space.scalar(delta)
     eps = z.sup_norm()
-    bound = (Fraction(delta) if space.exact else float(delta)) / (8 * m * m)
+    bound = delta / (8 * m * m)
     if not eps < bound:
         raise HypothesisViolated(
             f"need ||z||_inf < delta/(8 m^2) = {float(bound)}, got {float(eps)}"
@@ -541,7 +535,7 @@ def equal_norm_partition(
     coords, d = interval_norm_table(space, z)
     J = len(coords)
     total = d(0, J)
-    if not total >= (Fraction(1, 2) if space.exact else 0.5):
+    if not 2 * total >= 1:
         raise HypothesisViolated(f"need ||z|| >= 1/2, got {float(total)}")
     if m == 1:
         return [coords]
@@ -575,8 +569,8 @@ def equal_norm_partition(
     parts = partition_prefix(J, m)
     norms = [d(a, b) for a, b in parts]
     sup, inf = max(norms), min(norms)
-    lo_ok = inf >= (1 - Fraction(delta) if space.exact else 1 - float(delta)) * sup
-    hi_ok = sup <= (1 + Fraction(delta) if space.exact else 1 + float(delta)) * inf
+    lo_ok = inf >= (1 - delta) * sup
+    hi_ok = sup <= (1 + delta) * inf
     if not (lo_ok and hi_ok):
         raise TsirelsonError(
             f"partition sweep missed the ratio bound: norms {[float(v) for v in norms]}"
@@ -624,8 +618,8 @@ def interval_norm_table(space: SpaceSpec, z: SparseVector):
         engine.fill()
         return engine.coords, engine.value
     theta = space.theta_for_index(1)
-    values = [abs(v) for v in z.values]
-    prefix = [0]
+    values = [abs(space.scalar(v)) for v in z.values]
+    prefix = [space.scalar(0)]
     for v in values:
         prefix.append(prefix[-1] + v)
     sparse = [values]
@@ -640,7 +634,7 @@ def interval_norm_table(space: SpaceSpec, z: SparseVector):
 
     def d(a: int, b: int):
         if a >= b:
-            return 0
+            return prefix[0]  # zero in the space's arithmetic
         span = b - a
         level = span.bit_length() - 1
         biggest = max(sparse[level][a], sparse[level][b - (1 << level)])
@@ -672,7 +666,7 @@ def c0_average_associate(space: SpaceSpec, f_parts: Sequence[TreeFunctional]):
         if a[-1] >= b[0]:
             raise ValueError("parts must be successive")
     chosen: List[SparseVector] = []
-    achieved_sum = 0
+    achieved_sum = space.scalar(0)
     for f, sup in zip(f_parts, sups):
         if len(sup) > C0_SUPPORT_BOUND:
             raise SupportTooLarge(
@@ -686,15 +680,12 @@ def c0_average_associate(space: SpaceSpec, f_parts: Sequence[TreeFunctional]):
             vec = SparseVector(tuple((c, signs[c]) for c in coords))
             value = eval_functional(space, f, vec)
             nrm = norm(space, vec).value
-            ratio = (Fraction(value) / nrm) if space.exact else float(value) / float(nrm)
+            ratio = value / nrm
             if best_ratio is None or ratio > best_ratio:
                 best_ratio = ratio
-                best_vec = vec.scale(Fraction(1) / nrm if space.exact else 1.0 / float(nrm))
+                best_vec = vec.scale(1 / nrm)
         chosen.append(best_vec)
         achieved_sum = achieved_sum + eval_functional(space, f, best_vec)
     total = sum_vectors(chosen)
     total_norm = norm(space, total).value
-    x = total.scale(Fraction(1) / total_norm if space.exact else 1.0 / float(total_norm))
-    if space.exact:
-        return x, Fraction(achieved_sum) / total_norm
-    return x, float(achieved_sum) / float(total_norm)
+    return total.scale(1 / total_norm), achieved_sum / total_norm

@@ -34,10 +34,7 @@ def _load_space(args):
         with open(name, "r", encoding="utf-8") as fh:
             spec = spaces.parse_space_config(fh.read())
     if getattr(args, "arithmetic", None):
-        single_theta = spec.single_theta
-        if args.arithmetic == "float64" and single_theta is not None:
-            single_theta = float(single_theta)
-        spec = replace(spec, single_theta=single_theta, arithmetic=args.arithmetic)
+        spec = replace(spec, arithmetic=args.arithmetic)
     return spec
 
 
@@ -128,6 +125,11 @@ def _cmd_regularize(args) -> int:
     from . import spaces
 
     spec = _load_space(args)
+    if spec.kind == spaces.SINGLE:
+        raise ParseError(
+            f"regularize needs an A- or S-ladder weight sequence; {args.space} "
+            "is a single-family space with one weight"
+        )
     mode = spaces.PRODUCT if spec.kind == spaces.A_TYPE else spaces.SUM
     if args.mode:
         mode = args.mode
@@ -152,12 +154,18 @@ def _cmd_scc(args) -> int:
         return 0
     with open(args.input, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    scc = averages.SCC(
-        data["j"],
-        Fraction(data["epsilon"]),
-        tuple(data["support"]),
-        tuple(Fraction(a) for a in data["coefficients"]),
-    )
+    try:
+        scc = averages.SCC(
+            data["j"],
+            Fraction(data["epsilon"]),
+            tuple(data["support"]),
+            tuple(Fraction(a) for a in data["coefficients"]),
+        )
+    except (KeyError, TypeError) as exc:
+        message = f"not a special convex combination: {type(exc).__name__}: {exc}"
+        raise ParseError(message) from None
+    if not isinstance(scc.j, int) or len(scc.support) != len(scc.coefficients):
+        raise ParseError("j must be an integer, with one coefficient per support point")
     verdict = averages.check_scc(scc)
     _emit(args, {"valid": verdict}, "valid" if verdict else "invalid")
     return 0 if verdict else 1

@@ -109,9 +109,12 @@ def _rebuild(g: Node, children) -> Node:
 
 def eval_functional(space: SpaceSpec, f: TreeFunctional, x: SparseVector):
     """A leaf picks a signed coordinate of x, a node multiplies the sum of
-    its children, added left to right from zero, by its weight."""
-    lookup = dict(x.entries)
-    zero = 0 if space.exact else 0.0
+    its children, added left to right from zero, by its weight.  The
+    coordinates are taken in the space's arithmetic, so the value is a
+    ``Fraction`` in an exact space and a ``float`` in a float space."""
+    scalar = space.scalar
+    lookup = {c: scalar(v) for c, v in x.entries}
+    zero = scalar(0)
 
     def node(g: Node, values):
         total = zero

@@ -63,9 +63,13 @@ interval, up to the last n whose tail bound beats a lower bound of
 whichever is larger.  It reads each explored n off that fill, and fills
 further only if its own best is still below the bound there.
 
-Arithmetic.  Float spaces fill in floats, in the order of addition above,
-and take ``C_K(i)`` even where rounding puts some ``C_k(i)``, k < K, an ulp
-above it.
+Arithmetic.  The engine converts each coordinate of x once, on entry, to
+the space's arithmetic (``SpaceSpec.scalar``): a rational vector in a float
+space fills in floats, and a float vector in an exact space in the exact
+value of each float.  Every result is a ``Fraction`` in an exact space and
+a ``float`` in a float space, whatever the input type.
+Float spaces fill in floats, in the order of addition above, and take
+``C_K(i)`` even where rounding puts some ``C_k(i)``, k < K, an ulp above it.
 Exact spaces fill in integers over one scale ``G = L * Q**(m-1)``: L is the
 common denominator of |x|, and Q that of theta_n over the weight indices
 that can be explored (those with ``theta_tail_sup(n) > 1/m``, since an
@@ -231,7 +235,8 @@ class _Engine:
         self.coords = x.support
         self.values = x.values
         self.m = len(self.coords)
-        self.abs_values = tuple(abs(v) for v in self.values)
+        scalar = space.scalar
+        self.abs_values = tuple(abs(scalar(v)) for v in self.values)
         self.max_n_explored = 0
         self.cutoff_bound = None
 
@@ -244,14 +249,14 @@ class _Engine:
         self._tails: Dict[int, object] = {}
         self._thetas: Dict[int, object] = {}
         # the l1 norm of the whole support, in the space's own arithmetic
-        total = 0 if space.exact else 0.0
+        total = space.scalar(0)
         for v in self.abs_values:
             total = total + v
         self._ell1 = total
         if space.exact:
-            exact = [v if isinstance(v, Fraction) else Fraction(v) for v in self.abs_values]
-            self._scale = math.lcm(*(v.denominator for v in exact)) * self._theta_lcd() ** (m - 1)
-            absv = [v.numerator * (self._scale // v.denominator) for v in exact]
+            values = self.abs_values
+            self._scale = math.lcm(*(v.denominator for v in values)) * self._theta_lcd() ** (m - 1)
+            absv = [v.numerator * (self._scale // v.denominator) for v in values]
             prefix = [0]
         else:
             absv = list(self.abs_values)

@@ -259,7 +259,9 @@ class SpaceSpec:
     (optionally composed with an inner A_k when ``inner_ak`` is set, the
     auxiliary spaces used by the functional surgery), and ``single`` uses one
     family with one weight.  ``p_hint`` records the exponent p for p-space
-    presets, where known.
+    presets, where known.  ``arithmetic`` fixes the space's one arithmetic
+    (``scalar``); the single weight is converted to it where it is read,
+    and a float weight is refused in rational mode.
     """
 
     kind: str
@@ -288,12 +290,22 @@ class SpaceSpec:
                 raise ValueError("inner_ak must be >= 1")
         if self.arithmetic not in (RATIONAL, FLOAT64):
             raise ValueError(f"unknown arithmetic mode {self.arithmetic!r}")
-        if self.kind == SINGLE and self.arithmetic == RATIONAL:
-            as_fraction(self.single_theta)  # raises if not exact
+        if self.kind == SINGLE and self.exact and isinstance(self.single_theta, float):
+            raise IrrationalInRationalMode(
+                f"the weight {self.single_theta!r} is a float; use float mode"
+            )
 
     @property
     def exact(self) -> bool:
         return self.arithmetic == RATIONAL
+
+    def scalar(self, v):
+        """v in the space's arithmetic: a ``Fraction`` in rational spaces, a
+        ``float`` in float64 spaces.  A value that already has that type is
+        returned as it is."""
+        if self.exact:
+            return v if isinstance(v, Fraction) else Fraction(v)
+        return v if isinstance(v, float) else float(v)
 
     def max_index(self) -> Optional[int]:
         return 1 if self.kind == SINGLE else None
@@ -315,9 +327,7 @@ class SpaceSpec:
         if self.kind == SINGLE:
             if n != 1:
                 raise ValueError("single-family spaces only have index 1")
-            if self.exact:
-                return as_fraction(self.single_theta)
-            return float(self.single_theta)
+            return self.scalar(self.single_theta)
         return theta(self.thetas, n, self.arithmetic)
 
     def theta_tail_sup(self, n: int):
@@ -338,10 +348,8 @@ class DerivedParams:
     """
 
     horizon: int
-    theta_hat_horizon: Tuple[object, ...]
     theta_limit_estimate: object
     c_n: Tuple[object, ...]
-    q_n: Tuple[Optional[float], ...]
     q_estimate: Optional[float]
     p_estimate: Optional[float]
     exact_limit: bool = False
@@ -352,22 +360,18 @@ def derived_params(spec: SpaceSpec, horizon: int) -> DerivedParams:
         raise ValueError("horizon must be >= 1")
     if spec.kind == SINGLE:
         th = spec.theta_for_index(1)
-        return DerivedParams(
-            horizon, (th,), th, (1,), (None,), None, None, exact_limit=True
-        )
-    mode = PRODUCT if spec.kind == A_TYPE else SUM
-    th_hat = tuple(regularize(spec.thetas, mode, horizon, spec.arithmetic))
+        return DerivedParams(horizon, th, (1,), None, None, exact_limit=True)
     th = [theta(spec.thetas, n, spec.arithmetic) for n in range(1, horizon + 1)]
-    q_n = [None] + [
-        math.log(n) / -math.log(float(th[n - 1])) if float(th[n - 1]) < 1 else None
-        for n in range(2, horizon + 1)
-    ]
     if spec.kind == A_TYPE:
         if isinstance(spec.thetas, (PowerLaw, ScaledPowerLaw)):
             q_est: Optional[float] = float(spec.thetas.q)
         else:
-            finite_q = [q for q in q_n if q is not None]
-            q_est = max(finite_q) if finite_q else None
+            q_n = [
+                math.log(n) / -math.log(float(th[n - 1]))
+                for n in range(2, horizon + 1)
+                if float(th[n - 1]) < 1
+            ]
+            q_est = max(q_n) if q_n else None
         if q_est is None or math.isinf(q_est):
             p_est = 1.0
             c_n = tuple(th)
@@ -378,17 +382,15 @@ def derived_params(spec: SpaceSpec, horizon: int) -> DerivedParams:
             p_est = 1.0
             c_n = tuple(th)
         theta_lim = max(float(t) ** (1.0 / n) for n, t in enumerate(th, start=1))
-        return DerivedParams(horizon, th_hat, theta_lim, c_n, tuple(q_n), q_est, p_est)
+        return DerivedParams(horizon, theta_lim, c_n, q_est, p_est)
     # S-type: theta = lim theta_n^{1/n}; exact for geometric sequences.
     if isinstance(spec.thetas, Geometric):
-        theta_lim = spec.thetas.ratio if spec.exact else float(spec.thetas.ratio)
+        theta_lim = spec.scalar(spec.thetas.ratio)
         c_n = tuple(th[n - 1] / theta_lim**n for n in range(1, horizon + 1))
-        return DerivedParams(
-            horizon, th_hat, theta_lim, c_n, tuple(q_n), None, None, exact_limit=True
-        )
+        return DerivedParams(horizon, theta_lim, c_n, None, None, exact_limit=True)
     theta_lim = max(float(t) ** (1.0 / n) for n, t in enumerate(th, start=1))
     c_n = tuple(float(th[n - 1]) / theta_lim**n for n in range(1, horizon + 1))
-    return DerivedParams(horizon, th_hat, theta_lim, c_n, tuple(q_n), None, None)
+    return DerivedParams(horizon, theta_lim, c_n, None, None)
 
 
 def preset(name: str) -> SpaceSpec:
@@ -471,12 +473,10 @@ def parse_space_config(text: str) -> SpaceSpec:
     if kind == "single":
         if "single_family" not in entries or "single_theta" not in entries:
             raise ParseError("single kind needs single_family and single_theta")
-        fam = families.parse_family(entries["single_family"])
-        th = parse_scalar(entries["single_theta"])
         return SpaceSpec(
             SINGLE,
-            single_family=fam,
-            single_theta=th if arithmetic == RATIONAL else float(th),
+            single_family=families.parse_family(entries["single_family"]),
+            single_theta=parse_scalar(entries["single_theta"]),
             inner_ak=inner_ak,
             arithmetic=arithmetic,
         )

@@ -194,6 +194,40 @@ class TestCommands:
         assert code == 0
         assert out.split() == ["1/2", "1/4", "1/8"]
 
+    @pytest.mark.parametrize("space", ["tsirelson", "ellp:2"])
+    def test_regularize_refuses_a_single_family_space(self, space, capsys):
+        assert run(["regularize", "--space", space, "--horizon", "5"]) == 2
+        assert "single-family space" in capsys.readouterr().err
+
+    def test_a_float_weight_in_rational_mode_is_1(self, tmp_path, capsys):
+        vec = tmp_path / "x.vec"
+        vec.write_text("1\t1/2\n")
+        argv = ["--arithmetic", "rational", "norm", "--space", "ellp:2", "--vector", str(vec)]
+        assert run(argv) == 1
+        assert "use float mode" in capsys.readouterr().err
+
+    MISMATCHED = {
+        "depth": 0,
+        "levels": [{"level": 0, "nodes": [{"support": [2, 3], "values": ["1/2"]}]}],
+        "epsilon": "1/2",
+        "theta": "1/2",
+        "j": 1,
+        "support": [2, 3],
+        "coefficients": ["1/2"],
+    }
+
+    @pytest.mark.parametrize("data", [{}, {"levels": []}, [], {"j": 1, "depth": "x"}, MISMATCHED])
+    @pytest.mark.parametrize(
+        "argv",
+        [["scc", "check"], ["avg", "check", "--space", "geometric-s:1/2"]],
+        ids=["scc", "avg"],
+    )
+    def test_check_json_of_the_wrong_shape_is_2(self, argv, data, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        assert run([*argv, "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 def _write_tmp(text):
     import tempfile

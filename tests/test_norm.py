@@ -260,6 +260,63 @@ class TestLargeSupports:
             assert table[size] == float(norm(spec, flat).value), size
 
 
+FLOAT_SPACES = (
+    SCHLUMPRECHT,
+    t.preset("tzafriri:1/2"),
+    t.preset("ellp:2"),
+    dataclasses.replace(GEOM_S, arithmetic=FLOAT64),
+)
+
+
+def _as_floats(x):
+    return t.SparseVector(tuple((c, float(v)) for c, v in x.entries))
+
+
+class TestArithmetic:
+    """Results are in the space's arithmetic whatever the input type: the
+    engine and ``eval_functional`` take each coordinate through
+    ``SpaceSpec.scalar`` once."""
+
+    @pytest.mark.parametrize("spec", FLOAT_SPACES, ids=lambda s: f"{s.name}:{s.arithmetic}")
+    def test_a_rational_vector_in_a_float_space(self, spec):
+        x = _large_vector(spec.name, 16, exact=True)
+        rational, floating = norm(spec, x), norm(spec, _as_floats(x))
+        assert type(rational.value) is float and rational.value == floating.value
+        assert rational.witness == floating.witness
+        assert rational.as_dict() == floating.as_dict()
+        value = t.eval_functional(spec, rational.witness, x)
+        assert type(value) is float
+        assert value == t.eval_functional(spec, rational.witness, _as_floats(x))
+        fam = t.An(2)
+        assert admissible_sum(spec, x, fam) == admissible_sum(spec, _as_floats(x), fam)
+        third = norm(spec, t.SparseVector.basis(1, Fraction(1, 3)))
+        assert type(third.value) is float and third.as_dict()["value"] == "0.33333333333333331"
+
+    @pytest.mark.parametrize("label", RATIONAL_PRESETS)
+    def test_a_float_vector_in_an_exact_space(self, label):
+        spec = t.preset(label)
+        x = t.SparseVector(((2, 0.5), (3, -0.25), (5, 0.1), (6, 1 / 3)))
+        result = norm(spec, x)
+        assert type(result.value) is Fraction and type(result.cutoff_bound) is Fraction
+        value = t.eval_functional(spec, result.witness, x)
+        assert type(value) is Fraction and value == result.value
+
+    def test_the_saturated_interval_table(self):
+        from tsirelson.averages import interval_norm_table
+
+        spec = dataclasses.replace(TSIRELSON, arithmetic=FLOAT64)
+        x = t.SparseVector(tuple((c, Fraction(1, c)) for c in range(8, 14)))
+        d = interval_norm_table(spec, x)[1]
+        d_float = interval_norm_table(spec, _as_floats(x))[1]
+        assert type(d(0, 6)) is float and d(0, 6) == d_float(0, 6) == norm(spec, x).value
+
+    def test_scalar_converts_only_other_types(self):
+        third, tenth = Fraction(1, 3), 0.1
+        assert TSIRELSON.scalar(third) is third and SCHLUMPRECHT.scalar(tenth) is tenth
+        assert TSIRELSON.scalar(0.5) == Fraction(1, 2) and SCHLUMPRECHT.scalar(third) == 1 / 3
+        assert type(TSIRELSON.scalar(1)) is Fraction and type(SCHLUMPRECHT.scalar(1)) is float
+
+
 class TestEngineContract:
     """The engine surface that ``benchmarks/tracer.py`` wraps and reads:
     ``_Engine(space, x)``, ``fill()`` with no arguments, the ``witness(i, j)``
