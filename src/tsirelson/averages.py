@@ -125,13 +125,15 @@ def check_lr_average_bounds(
     """Admissible-sum bounds for a C-l_r-average of length N, per level j <= M.
 
     The hypothesis requires N >= (2M)**r; with 1/s + 1/r = 1, the level-j
-    admissible sum must lie within [j^(1/s)/(2C^2), 2C^2 j^(1/s)].
+    admissible sum must lie within [j^(1/s)/(2C^2), 2C^2 j^(1/s)].  The values
+    stay in the space's arithmetic; the bounds are floats, since j^(1/s) is
+    irrational in general and C is a float estimate.
     """
     if N < (2 * M) ** r:
         raise HypothesisViolated(f"need N >= (2M)^r = {(2 * M) ** r}, got {N}")
     rows = []
     for j in range(1, M + 1):
-        value = float(admissible_sum(space, x, families.An(j)).value)
+        value = admissible_sum(space, x, families.An(j)).value
         js = 1.0 if r == 1 else float(j) ** (1.0 - 1.0 / float(r))
         rows.append(_bounds_row(f"j={j}", value, js / (2 * C * C), 2 * C * C * js))
     return AuditReport("lr-bounds", {"C": C, "r": r, "N": N, "M": M}, tuple(rows))
@@ -367,25 +369,26 @@ def audit_tav(space: SpaceSpec, tree: AveragingTree, delta) -> AuditReport:
 
     Per level j the S_j-admissible sum of the normalized vector must lie in
     [theta_1 theta^(1-j)/4, 4 theta_1^(-1) theta^(-j-1)]; node norms are
-    checked against the (1-delta)^j theta^j lower bound.
+    checked against the (1-delta)^j theta^j lower bound.  Values and bounds
+    stay in the space's arithmetic, so an exact space compares them exactly.
     """
     x = tree.root.vector
     y = x.scale(1 / norm(space, x).value)
-    theta = float(tree.theta)
-    theta1 = float(space.theta_for_index(1))
+    theta = space.scalar(tree.theta)
+    theta1 = space.theta_for_index(1)
     rows = []
     for j in range(0, tree.depth + 1):
         if j == 0:
-            value = float(norm(space, y).value)
+            value = norm(space, y).value
         else:
-            value = float(admissible_sum(space, y, families.Sn(j)).value)
+            value = admissible_sum(space, y, families.Sn(j)).value
         lower = theta1 * theta ** (1 - j) / 4
         upper = 4 * theta ** (-j - 1) / theta1
         rows.append(_bounds_row(f"j={j}", value, lower, upper))
     for j in range(1, tree.depth + 1):
-        bound = (1 - float(delta)) ** j * theta**j
+        bound = (1 - space.scalar(delta)) ** j * theta**j
         for i, node in enumerate(tree.level_nodes(j), start=1):
-            value = float(norm(space, node.vector).value)
+            value = norm(space, node.vector).value
             values = {"value": value, "lower": bound}
             rows.append(AuditRow(f"node:j={j},i={i}", values, leq(bound, value)))
     params = {"delta": delta, "levels": tree.depth, "conforming": tree.conforming}
@@ -496,10 +499,6 @@ def check_scc(candidate: SCC) -> bool:
     elif j == 2:
         mass = max_s1_mass(candidate.support, candidate.coefficients)
     else:
-        if len(candidate.support) > 20:
-            raise SupportTooLarge(
-                "exact mass search above level 2 handles supports up to 20"
-            )
         coeffs = dict(zip(candidate.support, candidate.coefficients))
         _, mass = families.max_weight_subset(families.Sn(j - 1), coeffs)
     return mass < candidate.epsilon

@@ -32,12 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .errors import NonSuccessive, ParseError, Unbounded
+from .errors import NonSuccessive, ParseError, SupportTooLarge, Unbounded
 
 FiniteSet = Tuple[int, ...]
 
 # Always empty (membership keeps no memo); the benchmark worker reads its size.
 _member_memo: dict = {}
+
+# Most positive weights ``max_weight_subset`` takes: it may walk 2^20 members.
+MAX_WEIGHT_SUPPORT = 20
 
 
 @dataclass(frozen=True)
@@ -259,9 +262,14 @@ def max_weight_subset(family: FamilyExpr, weights: Mapping[int, object]):
     Ties break toward smaller cardinality, then the lexicographically
     smallest element sequence, so the result is deterministic.  Non-member
     extensions are pruned, which is sound because the families are
-    hereditary.
+    hereditary.  Refuses more than ``MAX_WEIGHT_SUPPORT`` positive weights.
     """
     coords = sorted(c for c, w in weights.items() if w > 0)
+    if len(coords) > MAX_WEIGHT_SUPPORT:
+        raise SupportTooLarge(
+            f"max-weight search handles up to {MAX_WEIGHT_SUPPORT} positive weights, "
+            f"got {len(coords)}"
+        )
     for c in coords:
         check_finite_set((c,))
     best_set: FiniteSet = ()

@@ -16,6 +16,14 @@ The surgery operations:
   (A-type ladder, by local split/erase moves at covering nodes) or 4 (S-type
   ladder, by boundary splitting into the inner-A_3 auxiliary space followed
   by ``split_xk``).  Both constants are certified per instance.
+
+The surgery reads block containment off subtree ends.  Every tree it handles
+has successive children at every node: ``make_comparable`` validates its
+input, and restriction, boundary cuts and regrouping keep children in order.
+So the leaves of f increase left to right, and a subtree whose first and last
+leaves are lo and hi (``_ends``) holds exactly f's support points in [lo, hi].
+It holds all of f's points in block i exactly when their least and greatest
+(the block's span, ``_spans``) lie in [lo, hi].
 """
 
 from __future__ import annotations
@@ -185,7 +193,8 @@ def restrict_functional(f: TreeFunctional, coords) -> Optional[TreeFunctional]:
 def is_comparable(f: TreeFunctional, blocks: Sequence[SparseVector]) -> bool:
     """Three-way condition: each node support lies inside one block's range,
     or contains all the functional's support points of every block it meets,
-    or meets no block range at all."""
+    or meets no block range at all.  Raises ``ValueError`` when some node's
+    children are not successive."""
     if any(not a < b for a, b in zip(blocks, blocks[1:])):
         raise ValueError("blocks must be successive")
     return not _partially_met(f, blocks)
@@ -354,9 +363,10 @@ def make_comparable(
         }
         restricted = restrict_functional(restricted, keep)
     if restricted is None:
-        return _degenerate_comparable(blocks)
+        coord, value = blocks[0].entries[0]
+        return Leaf(1 if value >= 0 else -1, coord)
     if constant == 6:
-        result = _comparable_atype(space, restricted, blocks, v)
+        result = _comparable_atype(space, restricted, blocks)
     else:
         result = _comparable_stype(space, restricted, blocks, v)
     if validate(space, result):
@@ -380,59 +390,63 @@ def comparability_constant(space: SpaceSpec) -> int:
     return 4
 
 
-def _degenerate_comparable(blocks: Sequence[SparseVector]) -> TreeFunctional:
-    coord, value = blocks[0].entries[0]
-    return Leaf(1 if value >= 0 else -1, coord)
+def _ends(g: TreeFunctional) -> Tuple[int, int]:
+    """The first and last leaf coordinates of g, off its two outer spines."""
+    first = last = g
+    while isinstance(first, Node):
+        first = first.children[0]
+    while isinstance(last, Node):
+        last = last.children[-1]
+    return first.coordinate, last.coordinate
 
 
-def _partial_blocks(lo, hi, block_ranges, covers) -> List[int]:
-    """Blocks whose range a support with ends lo, hi meets without lying
-    inside it, and whose global-support points it does not all contain
-    (``covers(i)`` is false)."""
+def _spans(f: TreeFunctional, blocks) -> List[Optional[Tuple[int, int]]]:
+    """Per block, the least and greatest of f's support points in the
+    block's support; None where f has none.  The leaves are read once, in
+    their increasing order."""
+    owner = {c: i for i, b in enumerate(blocks) for c in b.support}
+    spans: List[Optional[Tuple[int, int]]] = [None] * len(blocks)
+    for g in leaves(f):
+        i = owner.get(g.coordinate)
+        if i is not None:
+            spans[i] = (g.coordinate if spans[i] is None else spans[i][0], g.coordinate)
+    return spans
+
+
+def _partial_blocks(lo, hi, block_ranges, spans) -> List[int]:
+    """Blocks whose range a subtree with ends lo, hi meets without lying
+    inside it, while some of f's points in the block lie outside [lo, hi]."""
     return [
         i
-        for i, (blo, bhi) in enumerate(block_ranges)
+        for i, ((blo, bhi), span) in enumerate(zip(block_ranges, spans))
         if not (hi < blo or lo > bhi)  # ranges meet
         and not (lo >= blo and hi <= bhi)  # not inside the block's range
-        and not covers(i)
+        and span is not None
+        and not (lo <= span[0] and span[1] <= hi)  # misses some block point
     ]
 
 
 def _partially_met(f: TreeFunctional, blocks) -> set:
-    """Indices of the blocks that some element of f meets partially, in one
-    pass: each subtree folds to its end coordinates and, per block, the
-    block points it holds (merged smaller into larger)."""
+    """Indices of the blocks that some node of f meets partially, in one
+    pass that folds each subtree to its ends; ``ValueError`` where a node's
+    children are not successive, since ends then say nothing."""
     block_ranges = [b.range() for b in blocks]
-    global_support = set(support(f))
-    targets = [set(b.support) & global_support for b in blocks]
-    owner = {c: i for i, points in enumerate(targets) for c in points}
+    spans = _spans(f, blocks)
     bad: set = set()
 
-    def leaf(g: Leaf):
-        i = owner.get(g.coordinate)
-        return g.coordinate, g.coordinate, {} if i is None else {i: {g.coordinate}}
-
     def node(g: Node, kids):
-        held: dict = {}
-        for _, _, points in kids:
-            for i, pts in points.items():
-                have = held.setdefault(i, pts)
-                if have is not pts:
-                    if len(have) < len(pts):
-                        have, pts = pts, have
-                        held[i] = have
-                    have |= pts
+        for (_, last), (first, _) in zip(kids, kids[1:]):
+            if last >= first:
+                raise ValueError("children supports not successive")
         lo, hi = kids[0][0], kids[-1][1]
-        bad.update(_partial_blocks(
-            lo, hi, block_ranges, lambda i: len(held.get(i, ())) == len(targets[i])
-        ))
-        return lo, hi, held
+        bad.update(_partial_blocks(lo, hi, block_ranges, spans))
+        return lo, hi
 
-    fold(f, leaf, node)
+    fold(f, lambda g: (g.coordinate, g.coordinate), node)
     return bad
 
 
-def _comparable_atype(space, f, blocks, v):
+def _comparable_atype(space, f, blocks):
     """Split/erase surgery at the per-block covering nodes, A_n ladder.
 
     For each block, the deepest node containing all of the block's support
@@ -442,35 +456,23 @@ def _comparable_atype(space, f, blocks, v):
     the same move.  Each split pairs with the erasure of a fully-inside
     sibling (or drops the weaker cut part), so child counts never grow and
     A_n-admissibility is preserved.  Edits touch only the block's own
-    coordinates, so blocks are processed independently left to right.
+    coordinates, so blocks are processed independently left to right.  Every
+    pass erases at least one point of f, so the passes end.
     """
-    for block_idx, block in enumerate(blocks):
-        guard = 0
-        while True:
-            guard += 1
-            if guard > len(support(f)) + 8:
-                raise SurgeryFailed("covering-node surgery did not terminate")
-            edited = _fix_block_atype(space, f, blocks, block_idx, v)
-            if edited is None:
-                break
+    for block in blocks:
+        while (edited := _fix_block_atype(space, f, block)) is not None:
             f = edited
-            if f is _EMPTY:
-                return _degenerate_comparable(blocks)
     return f
 
 
-_EMPTY = object()
-
-
-def _covering_path(f, w_n: set) -> Optional[Tuple[int, ...]]:
-    """Path to the deepest node whose support contains the set w_n."""
-    if not w_n <= set(support(f)):
-        return None
+def _covering_path(f, lo: int, hi: int) -> Tuple[int, ...]:
+    """Path to the deepest node that holds every point of f in [lo, hi]."""
     path: Tuple[int, ...] = ()
     node = f
     while isinstance(node, Node):
         for i, child in enumerate(node.children):
-            if w_n <= set(support(child)):
+            first, last = _ends(child)
+            if first <= lo and hi <= last:
                 node, path = child, path + (i,)
                 break
         else:
@@ -478,14 +480,19 @@ def _covering_path(f, w_n: set) -> Optional[Tuple[int, ...]]:
     return path
 
 
-def _fix_block_atype(space, f, blocks, block_idx, v):
-    """One editing pass for a single block; None when the block is clean."""
-    block = blocks[block_idx]
+def _fix_block_atype(space, f, block):
+    """One editing pass for a single block; None when the block is clean.
+
+    A straddler reaches past the block's range on one side only (its
+    siblings are successive), so both of its cut parts are nonempty; a lone
+    straddler with no inside sibling would hold every block point, and the
+    cover would have descended into it.
+    """
     blo, bhi = block.range()
-    w_n = set(block.support) & set(support(f))
-    if not w_n:
+    span = _spans(f, [block])[0]
+    if span is None:
         return None
-    path = _covering_path(f, w_n)
+    path = _covering_path(f, *span)
     node = f
     for i in path:
         node = node.children[i]
@@ -494,10 +501,10 @@ def _fix_block_atype(space, f, blocks, block_idx, v):
     straddlers = []
     inside = []
     for i, child in enumerate(node.children):
-        sup = support(child)
-        if sup[-1] < blo or sup[0] > bhi:
+        first, last = _ends(child)
+        if last < blo or first > bhi:
             continue
-        if sup[0] >= blo and sup[-1] <= bhi:
+        if first >= blo and last <= bhi:
             inside.append(i)
         else:
             straddlers.append(i)
@@ -516,37 +523,22 @@ def _fix_block_atype(space, f, blocks, block_idx, v):
         )
 
     kids = list(node.children)
-    if inside:
-        # cut one straddler at the boundary; keep the cut part only if it
-        # beats the weakest inside sibling (which then makes room)
-        i = straddlers[0]
-        c_in, c_out = cut(kids[i])
-        weakest = min(inside, key=lambda t: val_on_block(kids[t]))
-        if val_on_block(c_in) >= val_on_block(kids[weakest]):
-            pieces = (
-                [c_out, c_in] if support(c_out)[-1] < support(c_in)[0] else [c_in, c_out]
-            )
-            kids[i : i + 1] = pieces
-            del kids[weakest if weakest < i else weakest + 1]
-        else:
-            kids[i] = c_out
-        return _rebuild_children(f, path, kids)
-    if len(straddlers) >= 2:
+    if not inside:
         # two straddlers, nothing inside: erase the block part of the
         # weaker one; the cover then descends and the cut case applies next
         i = min(straddlers, key=lambda t: val_on_block(kids[t]))
-        c_out = cut(kids[i])[1]
-        if c_out is None:
-            del kids[i]
-        else:
-            kids[i] = c_out
-        if not kids:
-            return _EMPTY
+        kids[i] = cut(kids[i])[1]
         return _rebuild_children(f, path, kids)
-    # single straddler and no inside sibling: it holds every block point the
-    # subtree has, so the cover should have descended; cut it loose anyway
+    # cut one straddler at the boundary; keep the cut part only if it
+    # beats the weakest inside sibling (which then makes room)
     i = straddlers[0]
-    kids[i] = max(cut(kids[i]), key=lambda g: eval_functional(space, g, v))
+    c_in, c_out = cut(kids[i])
+    weakest = min(inside, key=lambda t: val_on_block(kids[t]))
+    if val_on_block(c_in) >= val_on_block(kids[weakest]):
+        kids[i : i + 1] = [c_out, c_in] if _ends(c_out)[0] < blo else [c_in, c_out]
+        del kids[weakest if weakest < i else weakest + 1]
+    else:
+        kids[i] = c_out
     return _rebuild_children(f, path, kids)
 
 
@@ -586,8 +578,7 @@ def _expand_boundaries(f: TreeFunctional, blocks) -> TreeFunctional:
     space.  Requires the support to be inside the union of block supports.
     """
     block_ranges = [b.range() for b in blocks]
-    global_support = set(support(f))
-    targets = [set(b.support) & global_support for b in blocks]
+    spans = _spans(f, blocks)
 
     def pieces(g: TreeFunctional):
         """The children of g, each cut at the boundaries it straddles."""
@@ -595,11 +586,7 @@ def _expand_boundaries(f: TreeFunctional, blocks) -> TreeFunctional:
             return None
         out: List[TreeFunctional] = []
         for child in g.children:
-            sup = support(child)
-            sup_set = set(sup)
-            partial = _partial_blocks(
-                sup[0], sup[-1], block_ranges, lambda i: targets[i] <= sup_set
-            )
+            partial = _partial_blocks(*_ends(child), block_ranges, spans)
             if not partial:
                 out.append(child)
                 continue
@@ -607,6 +594,7 @@ def _expand_boundaries(f: TreeFunctional, blocks) -> TreeFunctional:
             # between the first and the last of several
             flo, fhi = block_ranges[partial[0]]
             a, b = (flo, fhi + 1) if len(partial) == 1 else (fhi + 1, block_ranges[partial[-1]][0])
+            sup = support(child)
             for seg in (
                 {c for c in sup if c < a},
                 {c for c in sup if a <= c < b},
@@ -637,8 +625,7 @@ def _prune_partial_blocks(space, g, blocks):
                 default=None,
             )
             keep = set() if best is None else set(support(best))
-            drop = {c for c in support(g) if blo <= c <= bhi and c not in keep}
-            g = restrict_functional(g, set(support(g)) - drop)
+            g = restrict_functional(g, {c for c in support(g) if not blo <= c <= bhi or c in keep})
             if g is None:
                 return None
     return g

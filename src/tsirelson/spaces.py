@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import families
-from .errors import IrrationalInRationalMode, ParseError
+from .errors import IrrationalInRationalMode, OverBudget, ParseError
 from .scalars import FLOAT64, RATIONAL, as_fraction, integer_root, leq, parse_scalar
 
 
@@ -155,6 +155,9 @@ def theta_sup_from(seq: ThetaSeq, n: int, arithmetic: str = FLOAT64):
 PRODUCT = "product"
 SUM = "sum"
 
+# regularize's loops are quadratic in the horizon; a norm takes at most 224 points
+REGULARIZE_HORIZON_BOUND = 512
+
 
 def regularize(seq: ThetaSeq, mode: str, horizon: int, arithmetic: str = RATIONAL):
     """Regularized weights theta-hat_1..theta-hat_N.
@@ -163,10 +166,14 @@ def regularize(seq: ThetaSeq, mode: str, horizon: int, arithmetic: str = RATIONA
     product reaches n; sum mode over tuples whose sum reaches n.  Factors and
     summands are truncated at the horizon, which loses nothing for the
     finitely supported vectors this drives (only indices up to the support
-    span matter).
+    span matter).  Refuses horizons above ``REGULARIZE_HORIZON_BOUND``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if horizon > REGULARIZE_HORIZON_BOUND:
+        raise OverBudget(
+            f"horizon {horizon} exceeds the regularization bound {REGULARIZE_HORIZON_BOUND}"
+        )
     th = [theta(seq, n, arithmetic) for n in range(1, 2 * horizon)]
     if mode == SUM:
         # g[s] = best product with summands <= horizon summing exactly to s;

@@ -62,14 +62,6 @@ class SparseVector:
             return SparseVector(())
         return SparseVector(tuple((c, v * factor) for c, v in self.entries))
 
-    def add(self, other: "SparseVector") -> "SparseVector":
-        merged: dict = {}
-        for c, v in self.entries:
-            merged[c] = v
-        for c, v in other.entries:
-            merged[c] = merged.get(c, 0) + v
-        return SparseVector.from_pairs(merged.items())
-
     def restrict(self, coords) -> "SparseVector":
         keep = set(coords)
         return SparseVector(tuple((c, v) for c, v in self.entries if c in keep))
@@ -94,10 +86,12 @@ class SparseVector:
 
 
 def sum_vectors(vectors: Iterable[SparseVector]) -> SparseVector:
-    total = SparseVector(())
+    """Coordinatewise sum, added left to right from 0; zero sums are dropped."""
+    total: dict = {}
     for v in vectors:
-        total = total.add(v)
-    return total
+        for c, value in v.entries:
+            total[c] = total.get(c, 0) + value
+    return SparseVector.from_pairs(total.items())
 
 
 def parse_vector(text: str, arithmetic: str = "rational") -> SparseVector:

@@ -113,6 +113,22 @@ class TestAveragingTree:
         assert report.all_pass
         assert len(report.rows) == 1
 
+    def test_tav_rows_stay_in_the_space_arithmetic(self):
+        tree = av.build_averaging_tree(
+            GEOM_S, av.basis_pool(), 1, Fraction(1, 2), relaxed_scale=3
+        )
+        report = av.audit_tav(GEOM_S, tree, Fraction(1, 2))
+        values = [v for row in report.rows for v in row.values.values()]
+        assert len(values) == 8
+        assert all(type(v) is Fraction for v in values)
+        assert report.rows[0].to_dict()["values"]["lower"] == "1/16"
+        float_space = dataclasses.replace(GEOM_S, arithmetic="float64")
+        tree = av.build_averaging_tree(
+            float_space, av.basis_pool(), 1, Fraction(1, 2), relaxed_scale=3
+        )
+        report = av.audit_tav(float_space, tree, Fraction(1, 2))
+        assert all(type(v) is float for row in report.rows for v in row.values.values())
+
 
 class TestScc:
     def test_build_example(self):

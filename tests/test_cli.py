@@ -80,12 +80,27 @@ class TestCommands:
         [
             (["audit", "kriv", "--space", "schlumprecht", "--r", "2"], "260101"),
             (["audit", "sch1", "--ground", "15"], "capped at ground 14"),
+            (
+                ["family", "maxweight", "--family", "A8",
+                 "--weights", ",".join(f"{c}:1" for c in range(1, 22))],
+                "up to 20 positive weights, got 21",
+            ),
+            (
+                ["regularize", "--space", "geometric-s:1/2", "--horizon", "513"],
+                "exceeds the regularization bound 512",
+            ),
+            (
+                ["regularize", "--space", "geometric-a:1/2", "--horizon", "2000"],
+                "exceeds the regularization bound 512",
+            ),
         ],
     )
     def test_budget_refusal_is_2(self, argv, refusal, capsys):
         code = run(argv)
         assert code == 2
-        assert refusal in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert refusal in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["norm", "witness"])
     def test_support_over_the_norm_bound_is_refused_before_the_fill(

@@ -168,6 +168,17 @@ class TestMaxWeight:
     def test_empty_weights(self):
         assert t.max_weight_subset(t.Sn(2), {}) == ((), 0)
 
+    def test_more_than_20_positive_weights_are_refused(self):
+        from tsirelson.errors import SupportTooLarge
+        from tsirelson.families import MAX_WEIGHT_SUPPORT
+
+        weights = {c: 1 for c in range(1, MAX_WEIGHT_SUPPORT + 1)}
+        weights[MAX_WEIGHT_SUPPORT + 1] = 0  # zero weights do not count
+        assert t.max_weight_subset(t.An(1), weights) == ((1,), 1)
+        weights[MAX_WEIGHT_SUPPORT + 1] = 1
+        with pytest.raises(SupportTooLarge, match="got 21"):
+            t.max_weight_subset(t.An(1), weights)
+
     def test_best_two_of_three(self):
         subset, value = t.max_weight_subset(t.An(2), {1: 1, 2: 1, 3: 1})
         assert value == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tsirelson as t
-from tsirelson.errors import InvalidInput, ParseError, SurgeryFailed
+from tsirelson.errors import InvalidInput, ParseError
 from tsirelson.functionals import (
     MAX_FUNCTIONAL_DEPTH,
     Violation,
@@ -178,6 +178,69 @@ class TestComparable:
             witness = norm(GEOM_S, x).witness
             assert t.is_comparable(witness, [x])
 
+    def test_children_not_successive_raise(self):
+        blocks = [t.SparseVector(((3, Fraction(1)), (4, Fraction(1))))]
+        for f in (
+            t.Node(1, (t.Leaf(1, 4), t.Leaf(1, 3))),
+            t.Node(1, (t.Node(1, (t.Leaf(1, 5), t.Leaf(1, 3))), t.Leaf(1, 4))),
+            t.Node(1, (t.Leaf(1, 3), t.Node(1, (t.Leaf(1, 4), t.Leaf(1, 4))))),
+        ):
+            with pytest.raises(ValueError, match="not successive"):
+                t.is_comparable(f, blocks)
+
+    @pytest.mark.parametrize(
+        "name", ["tsirelson", "geometric-s:1/2", "geometric-a:1/2", "schlumprecht"]
+    )
+    def test_agrees_with_the_definition(self, name):
+        """is_comparable against a reference built from each node's support
+        set, on random valid functionals whose supports mix block points,
+        points in the gaps and points past the ends."""
+        from tsirelson.functionals import _partially_met
+
+        spec = t.preset(name)
+        rng = random.Random(name)
+        met = 0
+        for _ in range(130):
+            blocks = random_blocks(
+                rng, rng.randint(1, 5), block_size_max=rng.randint(1, 5),
+                first=rng.randint(1, 9), exact=spec.exact,
+            )
+            points = [c for b in blocks for c in b.support]
+            pool = range(max(1, points[0] - 3), points[-1] + 4)
+            extra = rng.sample(pool, min(len(pool), rng.randint(0, 6)))
+            coords = sorted(set(points) | set(extra))
+            if rng.random() < 0.3:
+                coords = sorted(rng.sample(coords, rng.randint(1, len(coords))))
+            f = random_valid_functional(spec, rng, tuple(coords), leaf_prob=0.1)
+            expected = _partially_met_by_definition(f, blocks)
+            assert _partially_met(f, blocks) == expected
+            assert t.is_comparable(f, blocks) == (not expected)
+            met += bool(expected)
+        assert 20 <= met <= 110
+
+
+def _partially_met_by_definition(f, blocks):
+    """The blocks some node of f meets partially: its support's range meets
+    the block's range without lying inside it, and the support misses some
+    of f's points in the block."""
+    everything = set(support(f))
+    bad = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, t.Leaf):
+            continue
+        stack.extend(g.children)
+        held = set(support(g))
+        lo, hi = min(held), max(held)
+        for i, block in enumerate(blocks):
+            blo, bhi = block.range()
+            meets = lo <= bhi and hi >= blo
+            inside = blo <= lo and hi <= bhi
+            if meets and not inside and not set(block.support) & everything <= held:
+                bad.add(i)
+    return bad
+
 
 class TestCoverMap:
     def test_cover_paths(self):
@@ -193,7 +256,7 @@ class TestCoverMap:
         covers = {}
         for idx, block in enumerate(blocks):
             w_n = set(block.support) & set(support(f))
-            covers[idx] = _covering_path(f, w_n) if w_n else None
+            covers[idx] = _covering_path(f, min(w_n), max(w_n)) if w_n else None
         assert covers[0] == ()  # block 0 spread over two root children
         assert covers[1] == (2,)  # the inner node holds all of block 1
         assert covers[2] is None  # disjoint
@@ -442,9 +505,6 @@ class TestDeepTrees:
         last = 2 + depth
         blocks = [ones(range(2, 602)), ones(range(602, last + 1))]
         assert not t.is_comparable(f, blocks)
-        try:
-            g = t.make_comparable(space, f, blocks)
-        except SurgeryFailed:
-            return
+        g = t.make_comparable(space, f, blocks)
         assert t.validate(space, g) == []
         assert t.is_comparable(g, blocks)
