@@ -11,25 +11,24 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import families
 from .errors import BudgetExceeded, GroundTooLarge, LengthMismatch
+from .records import Record
 from .scalars import leq, render_scalar
 
 # The suites import the norm, generator, functional, space and vector
-# modules where they use them, so that loading this module (the command line
-# does it for every subcommand) stays cheap.
+# modules where they use them, so that a suite loads only its own share of
+# the package (``audit sch1`` needs just ``families``).
 if TYPE_CHECKING:
     from .functionals import TreeFunctional
     from .spaces import SpaceSpec
     from .vectors import SparseVector
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(Record):
     id: str
     values: Dict[str, object]
     ok: Optional[bool]  # None marks controls / regression rows
@@ -44,8 +43,7 @@ class AuditRow:
         return {"id": self.id, "ok": self.ok, "values": rendered}
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     suite: str
     params: Dict[str, object]
     rows: Tuple[AuditRow, ...]
@@ -91,14 +89,24 @@ MAX_GROUND = 14
 def audit_family_inclusion(
     lhs: families.FamilyExpr, rhs: families.FamilyExpr, ground: int
 ) -> AuditReport:
-    """Exhaustively list members of lhs within {1..ground} missing from rhs."""
+    """Exhaustively list members of lhs within {1..ground} missing from rhs.
+
+    The members arrive depth first, each after its prefixes, so the rhs
+    state of a member is one push onto that of the member without its last
+    element; a dead state stays dead below it, since rhs is hereditary."""
     if ground > MAX_GROUND:
         raise GroundTooLarge(f"exhaustive enumeration capped at ground {MAX_GROUND}")
     counterexamples = []
     total = 0
+    rhs_prog = families._program(rhs)
+    states = [rhs_prog[0]]  # the rhs states of the current member's prefixes
     for member in families.family_members(lhs, ground):
         total += 1
-        if not families.is_member(rhs, member):
+        if member:
+            del states[len(member) :]
+            state = states[-1]
+            states.append(None if state is None else families._push(rhs_prog, state, member[-1]))
+        if states[-1] is None:
             counterexamples.append(member)
     rows = [
         AuditRow(

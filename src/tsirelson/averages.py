@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -27,6 +26,7 @@ from .errors import (
 )
 from .functionals import TreeFunctional, eval_functional, leaves, support
 from .norm import _Engine, admissible_sum, norm
+from .records import Record
 from .scalars import close, leq
 from .spaces import SpaceSpec, derived_params
 from .vectors import SparseVector, sum_vectors
@@ -143,8 +143,7 @@ def check_lr_average_bounds(
 # averaging trees
 
 
-@dataclass(frozen=True)
-class AvgNode:
+class AvgNode(Record):
     level: int
     vector: SparseVector
     children: Tuple["AvgNode", ...] = ()
@@ -154,8 +153,7 @@ class AvgNode:
         return len(self.children)
 
 
-@dataclass(frozen=True)
-class AveragingTree:
+class AveragingTree(Record):
     depth: int
     epsilon: object
     theta: object
@@ -399,8 +397,7 @@ def audit_tav(space: SpaceSpec, tree: AveragingTree, delta) -> AuditReport:
 # special convex combinations
 
 
-@dataclass(frozen=True)
-class SCC:
+class SCC(Record):
     """An (epsilon, j) special convex combination on the unit vector basis."""
 
     j: int

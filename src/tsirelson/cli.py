@@ -12,14 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 # Only what every command needs is imported here; each ``_cmd_*`` imports
 # the modules it uses, so a process loads just its subcommand's share of the
-# package.  ``audit`` stays at module scope: tracing tools that wrap the
-# package's functions find the loaded modules through ``tsirelson.cli``.
-from . import audit as audit_mod
+# package: ``audit`` only for ``audit``, ``avg`` and ``scc`` (through
+# ``averages``).
 from .errors import HypothesisViolated, OverBudget, ParseError, SupportTooLarge, TsirelsonError
 from .scalars import render_scalar
 
@@ -34,7 +32,7 @@ def _load_space(args):
         with open(name, "r", encoding="utf-8") as fh:
             spec = spaces.parse_space_config(fh.read())
     if getattr(args, "arithmetic", None):
-        spec = replace(spec, arithmetic=args.arithmetic)
+        spec = spec.replace(arithmetic=args.arithmetic)
     return spec
 
 
@@ -200,17 +198,19 @@ def _cmd_comparable(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from . import audit
+
     suite = args.suite
     if suite == "sch1":
-        report = audit_mod.audit_sch1_grid(ground=args.ground)
+        report = audit.audit_sch1_grid(ground=args.ground)
     elif suite == "l3":
-        report = audit_mod.audit_l3(args.level, args.trials, args.seed)
+        report = audit.audit_l3(args.level, args.trials, args.seed)
     elif suite == "pest":
         spec = _load_space(args)
-        report = audit_mod.audit_pest(spec, args.trials, args.seed)
+        report = audit.audit_pest(spec, args.trials, args.seed)
     elif suite == "kriv":
         spec = _load_space(args)
-        report = audit_mod.audit_kriv(spec, args.count, args.r, args.seed)
+        report = audit.audit_kriv(spec, args.count, args.r, args.seed)
     elif suite == "avg":
         from . import averages
 
@@ -248,10 +248,10 @@ def _cmd_audit(args) -> int:
         spec = _load_space(args)
         ys = [_load_vector(p, spec) for p in args.ys]
         zs = [_load_vector(p, spec) for p in args.zs]
-        est = audit_mod.estimate_domination(spec, ys, zs, args.trials, args.seed)
-        row = audit_mod.AuditRow("estimate", {"estimate": est}, None)
+        est = audit.estimate_domination(spec, ys, zs, args.trials, args.seed)
+        row = audit.AuditRow("estimate", {"estimate": est}, None)
         params = {"trials": args.trials}
-        report = audit_mod.AuditReport("domination", params, (row,), args.seed)
+        report = audit.AuditReport("domination", params, (row,), args.seed)
     else:
         raise ParseError(f"unknown audit suite {suite!r}")
     _emit(args, report.to_dict(), report.table())

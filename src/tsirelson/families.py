@@ -29,10 +29,10 @@ tuple is a member of every family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import NonSuccessive, ParseError, SupportTooLarge, Unbounded
+from .records import Record
 
 FiniteSet = Tuple[int, ...]
 
@@ -43,8 +43,7 @@ _member_memo: dict = {}
 MAX_WEIGHT_SUPPORT = 20
 
 
-@dataclass(frozen=True)
-class An:
+class An(Record):
     """Sets of cardinality at most ``n``."""
 
     n: int
@@ -57,8 +56,7 @@ class An:
         return f"A{self.n}"
 
 
-@dataclass(frozen=True)
-class Sn:
+class Sn(Record):
     """Schreier family of finite order ``n``.
 
     ``Sn(0)`` is singletons plus the empty set; ``Sn(1)`` is
@@ -76,8 +74,7 @@ class Sn:
         return f"S{self.n}"
 
 
-@dataclass(frozen=True)
-class Compose:
+class Compose(Record):
     """Unions of successive inner-family sets whose minima form an outer-family set."""
 
     outer: "FamilyExpr"
@@ -90,23 +87,7 @@ class Compose:
 FamilyExpr = Union[An, Sn, Compose]
 
 
-def _cached_hash(family) -> int:
-    """The dataclass hash of the fields, computed once per instance: dict
-    lookups keyed by families (the norm engine's chain table) would otherwise
-    rehash a nested composition's whole tree each time."""
-    try:
-        return family.__dict__["_hash"]
-    except KeyError:
-        fields = tuple(getattr(family, name) for name in family.__dataclass_fields__)
-        h = family.__dict__["_hash"] = hash(fields)
-        return h
-
-
-An.__hash__ = Sn.__hash__ = Compose.__hash__ = _cached_hash
-
-
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Witness for membership: the successive pieces, recursively decomposed.
 
     ``pieces`` is None for the flat base families (An, S0) where no

@@ -28,18 +28,17 @@ It holds all of f's points in block i exactly when their least and greatest
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import families
 from .errors import InvalidInput, ParseError, SurgeryFailed
+from .records import Record
 from .spaces import A_TYPE, SINGLE, SpaceSpec
 from .vectors import SparseVector, sum_vectors
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Record):
     sign: int
     coordinate: int
 
@@ -50,8 +49,7 @@ class Leaf:
             raise ValueError("leaf coordinate must be a positive integer")
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
     weight_index: int
     children: Tuple["TreeFunctional", ...]
 
@@ -133,8 +131,7 @@ def eval_functional(space: SpaceSpec, f: TreeFunctional, x: SparseVector):
     return fold(f, lambda g: g.sign * lookup.get(g.coordinate, zero), node)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     path: Tuple[int, ...]
     reason: str
 

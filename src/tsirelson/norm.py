@@ -87,22 +87,21 @@ over the support directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from . import families
-from .errors import EmptyVector, IrrationalInRationalMode, SupportTooLarge
+from .errors import EmptyVector, SupportTooLarge
 from .functionals import Leaf, Node, TreeFunctional, fold
+from .records import Record
 from .spaces import A_TYPE, SINGLE, SpaceSpec
 from .vectors import SparseVector
 
 Interval = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class NormResult:
+class NormResult(Record):
     value: object
     witness: TreeFunctional
     max_n_explored: int
@@ -120,8 +119,7 @@ class NormResult:
         }
 
 
-@dataclass(frozen=True)
-class AdmissibleSumResult:
+class AdmissibleSumResult(Record):
     value: object
     pieces: Tuple[Tuple[int, ...], ...]
 
@@ -279,16 +277,12 @@ class _Engine:
 
     def _theta_lcd(self) -> int:
         """Common denominator of theta_n over the weight indices that can be
-        explored: n with theta_tail_sup(n) > 1/m.  A weight that is not
-        rational stops the scan; the weight loop raises on reaching it."""
+        explored: n with theta_tail_sup(n) > 1/m.  A rational space has
+        rational weights only: ``SpaceSpec`` refuses the others."""
         lcd = 1
         n = self._n_start
         while self._tail(n) * self.m > 1:
-            try:
-                theta = self._theta(n)
-            except IrrationalInRationalMode:
-                break
-            lcd = math.lcm(lcd, theta.denominator)
+            lcd = math.lcm(lcd, self._theta(n).denominator)
             n += 1
         return lcd
 

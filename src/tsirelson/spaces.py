@@ -10,17 +10,16 @@ rational mode; variants whose values are irrational raise
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import families
 from .errors import IrrationalInRationalMode, OverBudget, ParseError
+from .records import Record
 from .scalars import FLOAT64, RATIONAL, as_fraction, integer_root, leq, parse_scalar
 
 
-@dataclass(frozen=True)
-class Geometric:
+class Geometric(Record):
     """theta_n = ratio**n."""
 
     ratio: Fraction
@@ -31,8 +30,7 @@ class Geometric:
             raise ValueError("geometric ratio must lie in (0,1)")
 
 
-@dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(Record):
     """theta_n = n**(-1/q) with q > 1.  Note theta_1 = 1; see ledger note."""
 
     q: float
@@ -42,8 +40,7 @@ class PowerLaw:
             raise ValueError("power law requires q > 1")
 
 
-@dataclass(frozen=True)
-class ScaledPowerLaw:
+class ScaledPowerLaw(Record):
     """theta_n = c * n**(-1/q); the Tzafriri family has q = 2."""
 
     c: float
@@ -56,13 +53,11 @@ class ScaledPowerLaw:
             raise ValueError("scaled power law requires q > 1")
 
 
-@dataclass(frozen=True)
-class LogReciprocal:
+class LogReciprocal(Record):
     """theta_n = 1/log2(n+1), the Schlumprecht weights.  theta_1 = 1."""
 
 
-@dataclass(frozen=True)
-class ExplicitSeq:
+class ExplicitSeq(Record):
     """Finitely many explicit weights continued by a geometric tail."""
 
     values: Tuple[Fraction, ...]
@@ -210,8 +205,7 @@ def regularize(seq: ThetaSeq, mode: str, horizon: int, arithmetic: str = RATIONA
     raise ValueError(f"unknown regularization mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(Record):
     mode: str
     horizon: int
     monotonicity_violations: Tuple[Tuple[int, object, object], ...]
@@ -258,8 +252,7 @@ S_TYPE = "S"
 SINGLE = "single"
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
+class SpaceSpec(Record):
     """A full space definition.
 
     ``kind`` selects the family ladder: ``A`` uses A_n, ``S`` uses S_n
@@ -268,7 +261,8 @@ class SpaceSpec:
     family with one weight.  ``p_hint`` records the exponent p for p-space
     presets, where known.  ``arithmetic`` fixes the space's one arithmetic
     (``scalar``); the single weight is converted to it where it is read,
-    and a float weight is refused in rational mode.
+    and a float weight, or a weight sequence with irrational values, is
+    refused in rational mode.
     """
 
     kind: str
@@ -301,6 +295,10 @@ class SpaceSpec:
             raise IrrationalInRationalMode(
                 f"the weight {self.single_theta!r} is a float; use float mode"
             )
+        if self.kind != SINGLE and self.exact:
+            # theta_2 is irrational for every power-law and log-reciprocal
+            # sequence, so such a space is refused whatever the vector
+            theta(self.thetas, 2, RATIONAL)
 
     @property
     def exact(self) -> bool:
@@ -343,11 +341,10 @@ class SpaceSpec:
         return theta_sup_from(self.thetas, n, self.arithmetic)
 
     def with_inner_ak(self, k: Optional[int]) -> "SpaceSpec":
-        return replace(self, inner_ak=k)
+        return self.replace(inner_ak=k)
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(Record):
     """Finite-horizon estimates of the derived space parameters.
 
     Every field is an estimate (sup over n <= horizon) except where the

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .errors import ParseError
+from .records import Record
 from .scalars import render_scalar
 
 
-@dataclass(frozen=True)
-class SparseVector:
+class SparseVector(Record):
     """A finitely supported vector; coordinates strictly increasing, no zeros."""
 
     entries: Tuple[Tuple[int, object], ...]

@@ -31,6 +31,25 @@ class TestFamilyInclusion:
         with pytest.raises(GroundTooLarge):
             au.audit_family_inclusion(t.An(1), t.An(2), 15)
 
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [
+            (t.Sn(2), t.Sn(1)),
+            (t.Compose(t.Sn(1), t.An(2)), t.Sn(1)),
+            (t.An(3), t.Sn(1)),
+            (t.Sn(1), t.Compose(t.An(2), t.Sn(1))),
+            (t.Sn(1), t.Sn(2)),
+        ],
+    )
+    def test_counts_match_member_by_member_folds(self, lhs, rhs):
+        ground = 9
+        members = list(t.families.family_members(lhs, ground))
+        missing = [m for m in members if not t.is_member(rhs, m)]
+        values = au.audit_family_inclusion(lhs, rhs, ground).rows[0].values
+        assert values["members"] == len(members)
+        assert values["counterexamples"] == len(missing)
+        assert values["first_counterexample"] == (str(missing[0]) if missing else "")
+
 
 class TestSch1Grid:
     def test_grid_clean_and_control_dirty(self):

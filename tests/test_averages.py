@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -86,17 +85,15 @@ class TestAveragingTree:
     def test_float_check_compares_supports(self):
         tree = av.build_averaging_tree(GEOM_S, av.basis_pool(), 1, Fraction(1, 2))
         tree = av.tree_from_dict(av.tree_to_dict(tree), exact=False)
-        float_space = dataclasses.replace(GEOM_S, arithmetic="float64")
+        float_space = GEOM_S.replace(arithmetic="float64")
         assert av.check_averaging_tree(float_space, tree).all_pass
         # move the last leaf one coordinate right; its value still matches
         # the root entry that belongs to the old coordinate
         root = tree.root
         last = root.children[-1]
         ((coord, value),) = last.vector.entries
-        shifted = dataclasses.replace(last, vector=t.SparseVector(((coord + 1, value),)))
-        tree = dataclasses.replace(
-            tree, root=dataclasses.replace(root, children=root.children[:-1] + (shifted,))
-        )
+        shifted = last.replace(vector=t.SparseVector(((coord + 1, value),)))
+        tree = tree.replace(root=root.replace(children=root.children[:-1] + (shifted,)))
         rows = {r.id: r.ok for r in av.check_averaging_tree(float_space, tree).rows}
         assert rows["leaves-successive"] and rows["siblings-s1-admissible"]
         assert rows["uniform-averages"] is False
@@ -122,7 +119,7 @@ class TestAveragingTree:
         assert len(values) == 8
         assert all(type(v) is Fraction for v in values)
         assert report.rows[0].to_dict()["values"]["lower"] == "1/16"
-        float_space = dataclasses.replace(GEOM_S, arithmetic="float64")
+        float_space = GEOM_S.replace(arithmetic="float64")
         tree = av.build_averaging_tree(
             float_space, av.basis_pool(), 1, Fraction(1, 2), relaxed_scale=3
         )

@@ -214,10 +214,12 @@ class TestCommands:
         assert run(["regularize", "--space", space, "--horizon", "5"]) == 2
         assert "single-family space" in capsys.readouterr().err
 
-    def test_a_float_weight_in_rational_mode_is_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("space", ["ellp:2", "schlumprecht", "tzafriri:1/2"])
+    def test_a_float_weight_in_rational_mode_is_1(self, space, tmp_path, capsys):
+        # refused up front: the one-point vector never reaches an irrational weight
         vec = tmp_path / "x.vec"
         vec.write_text("1\t1/2\n")
-        argv = ["--arithmetic", "rational", "norm", "--space", "ellp:2", "--vector", str(vec)]
+        argv = ["--arithmetic", "rational", "norm", "--space", space, "--vector", str(vec)]
         assert run(argv) == 1
         assert "use float mode" in capsys.readouterr().err
 
@@ -475,9 +477,26 @@ class TestStartup:
         assert "tsirelson.norm" in loaded
         assert "numpy" not in loaded
 
-    def test_cli_loads_audit(self):
-        # tracing tools find the audit module through tsirelson.cli
-        assert "tsirelson.audit" in _loaded_modules("import tsirelson.cli")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norm", "--space", "tsirelson", "--vector", "{vector}"],
+            ["family", "member", "--family", "S2", "--set", "2,3,4"],
+        ],
+        ids=["norm", "family-member"],
+    )
+    def test_norm_and_member_load_no_audit_or_dataclasses(self, argv, tmp_path):
+        vector = tmp_path / "x.vec"
+        vector.write_text("1\t1/2\n3\t-1/3\n")
+        argv = [a.format(vector=vector) for a in argv]
+        loaded = _loaded_modules(f"from tsirelson.cli import run\nassert run({argv!r}) == 0")
+        for name in ("tsirelson.audit", "dataclasses", "inspect"):
+            assert name not in loaded
+
+    def test_averages_loads_audit(self):
+        # the benchmark tracer wraps the audit suites because the averages
+        # module it imports has loaded them
+        assert "tsirelson.audit" in _loaded_modules("import tsirelson.averages")
 
     def test_norm_is_the_function_after_submodule_imports(self):
         import tsirelson.averages  # noqa: F401  (imports the submodule tsirelson.norm)

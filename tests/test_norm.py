@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import inspect
 import random
@@ -232,7 +231,7 @@ class TestLargeSupports:
     @pytest.mark.parametrize("m", LARGE_SIZES)
     def test_exact_and_float_agree(self, label, m):
         spec = t.preset(label)
-        as_float = dataclasses.replace(spec, arithmetic=FLOAT64)
+        as_float = spec.replace(arithmetic=FLOAT64)
         x = _large_vector(label, m, exact=True)
         x_float = t.SparseVector(tuple((c, float(v)) for c, v in x.entries))
         exact_value = norm(spec, x).value
@@ -264,7 +263,7 @@ FLOAT_SPACES = (
     SCHLUMPRECHT,
     t.preset("tzafriri:1/2"),
     t.preset("ellp:2"),
-    dataclasses.replace(GEOM_S, arithmetic=FLOAT64),
+    GEOM_S.replace(arithmetic=FLOAT64),
 )
 
 
@@ -304,7 +303,7 @@ class TestArithmetic:
     def test_the_saturated_interval_table(self):
         from tsirelson.averages import interval_norm_table
 
-        spec = dataclasses.replace(TSIRELSON, arithmetic=FLOAT64)
+        spec = TSIRELSON.replace(arithmetic=FLOAT64)
         x = t.SparseVector(tuple((c, Fraction(1, c)) for c in range(8, 14)))
         d = interval_norm_table(spec, x)[1]
         d_float = interval_norm_table(spec, _as_floats(x))[1]
