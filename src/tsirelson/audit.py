@@ -89,24 +89,14 @@ MAX_GROUND = 14
 def audit_family_inclusion(
     lhs: families.FamilyExpr, rhs: families.FamilyExpr, ground: int
 ) -> AuditReport:
-    """Exhaustively list members of lhs within {1..ground} missing from rhs.
-
-    The members arrive depth first, each after its prefixes, so the rhs
-    state of a member is one push onto that of the member without its last
-    element; a dead state stays dead below it, since rhs is hereditary."""
+    """Exhaustively list members of lhs within {1..ground} missing from rhs."""
     if ground > MAX_GROUND:
         raise GroundTooLarge(f"exhaustive enumeration capped at ground {MAX_GROUND}")
     counterexamples = []
     total = 0
-    rhs_prog = families._program(rhs)
-    states = [rhs_prog[0]]  # the rhs states of the current member's prefixes
-    for member in families.family_members(lhs, ground):
+    for member, in_rhs in families.members_against(lhs, rhs, ground):
         total += 1
-        if member:
-            del states[len(member) :]
-            state = states[-1]
-            states.append(None if state is None else families._push(rhs_prog, state, member[-1]))
-        if states[-1] is None:
+        if not in_rhs:
             counterexamples.append(member)
     rows = [
         AuditRow(

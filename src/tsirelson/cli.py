@@ -26,13 +26,16 @@ def _load_space(args):
     from . import spaces
 
     name = args.space
+    arithmetic = getattr(args, "arithmetic", None)
     try:
         spec = spaces.preset(name)
     except ValueError:
+        # the override is applied while the file is parsed: a rational
+        # default would refuse irrational weights before it could win
         with open(name, "r", encoding="utf-8") as fh:
-            spec = spaces.parse_space_config(fh.read())
-    if getattr(args, "arithmetic", None):
-        spec = spec.replace(arithmetic=args.arithmetic)
+            return spaces.parse_space_config(fh.read(), arithmetic)
+    if arithmetic:
+        spec = spec.replace(arithmetic=arithmetic)
     return spec
 
 

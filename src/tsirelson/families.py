@@ -378,3 +378,21 @@ def family_members(family: FamilyExpr, ground: int):
                 yield from extend(current + (e,), cand_state, e + 1)
 
     yield from extend((), prog[0], 1)
+
+
+def members_against(lhs: FamilyExpr, rhs: FamilyExpr, ground: int):
+    """Yield ``(member, member in rhs)`` for every member of ``lhs`` within
+    {1..ground}, in the order of ``family_members``.
+
+    The members arrive depth first, each after its prefixes, so the rhs
+    state of a member is one push onto that of the member without its last
+    element; a dead state stays dead below it, since rhs is hereditary.
+    """
+    prog = _program(rhs)
+    states = [prog[0]]  # the rhs states of the current member's prefixes
+    for member in family_members(lhs, ground):
+        if member:
+            del states[len(member) :]
+            state = states[-1]
+            states.append(None if state is None else _push(prog, state, member[-1]))
+        yield member, states[-1] is not None

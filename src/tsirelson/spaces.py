@@ -456,8 +456,12 @@ def preset(name: str) -> SpaceSpec:
     raise ValueError(f"unknown preset {name!r}")
 
 
-def parse_space_config(text: str) -> SpaceSpec:
-    """Parse the key=value space configuration format."""
+def parse_space_config(text: str, arithmetic: Optional[str] = None) -> SpaceSpec:
+    """Parse the key=value space configuration format.
+
+    ``arithmetic``, when given, overrides the file's ``arithmetic`` line (or
+    its rational default) before the space is built, so a file whose weights
+    are irrational loads in float mode without naming it."""
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -470,9 +474,10 @@ def parse_space_config(text: str) -> SpaceSpec:
     kind = entries.get("kind")
     if kind not in ("A", "S", "single"):
         raise ParseError(f"kind must be A, S or single, got {kind!r}")
-    arithmetic = entries.get("arithmetic", RATIONAL)
-    if arithmetic not in (RATIONAL, FLOAT64):
-        raise ParseError(f"bad arithmetic {arithmetic!r}")
+    written = entries.get("arithmetic", RATIONAL)
+    if written not in (RATIONAL, FLOAT64):
+        raise ParseError(f"bad arithmetic {written!r}")
+    arithmetic = arithmetic or written
     inner_ak = int(entries["inner_ak"]) if "inner_ak" in entries else None
     if kind == "single":
         if "single_family" not in entries or "single_theta" not in entries:

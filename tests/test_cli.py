@@ -223,6 +223,20 @@ class TestCommands:
         assert run(argv) == 1
         assert "use float mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta", ["powerlaw:2", "scaledpowerlaw:1/2,2", "logreciprocal"])
+    def test_float_override_wins_over_a_config_files_rational_default(
+        self, theta, tmp_path, capsys
+    ):
+        config = tmp_path / "space.cfg"
+        config.write_text(f"kind = A\ntheta = {theta}\n")
+        vec = tmp_path / "x.vec"
+        vec.write_text("1\t1/2\n3\t-1/3\n")
+        argv = ["norm", "--space", str(config), "--vector", str(vec)]
+        assert run(["--arithmetic", "float64", *argv]) == 0
+        assert capsys.readouterr().out.startswith("norm = ")
+        assert run(argv) == 1
+        assert "use float mode" in capsys.readouterr().err
+
     MISMATCHED = {
         "depth": 0,
         "levels": [{"level": 0, "nodes": [{"support": [2, 3], "values": ["1/2"]}]}],

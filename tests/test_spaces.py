@@ -164,6 +164,14 @@ class TestConfig:
         seq = parse_explicit_file("1/2\n0.3\ntail 1/2\n")
         assert seq.values == (Fraction(1, 2), Fraction(3, 10))
 
+    def test_arithmetic_override_is_applied_before_the_space_is_built(self):
+        text = "kind = A\ntheta = logreciprocal\n"
+        with pytest.raises(IrrationalInRationalMode):
+            t.parse_space_config(text)
+        assert t.parse_space_config(text, "float64").arithmetic == "float64"
+        geometric = "kind = S\ntheta = geometric:1/2\narithmetic = float64\n"
+        assert t.parse_space_config(geometric, "rational").arithmetic == "rational"
+
     def test_errors(self):
         with pytest.raises(ParseError):
             t.parse_space_config("kind = Q\n")
