@@ -259,6 +259,71 @@ class TestLargeSupports:
             assert table[size] == float(norm(spec, flat).value), size
 
 
+# an A-ladder whose largest weight comes late: the weight loop passes the
+# small theta_2..theta_5 and explores n = 6 >= j - i on short intervals
+LATE_RECORD = t.SpaceSpec(
+    "A",
+    thetas=t.ExplicitSeq(tuple(Fraction(1, d) for d in (4, 5, 6, 7, 8)) + (Fraction(3, 5),), Fraction(1, 2)),
+    name="late-record",
+)
+
+# norm(...).as_dict() of the parent engine on random_vector(Random(f"late:{m}"), m)
+LATE_RECORD_RESULTS = {
+    (16, "rational"): {
+        "value": "35049/2500",
+        "witness": "(n 6 (l - 3) (l + 4) (n 6 (n 6 (l + 6) (l + 9) (l + 12) (l + 13)) (l - 14) (l + 17)"
+        " (l + 19) (l + 20) (l + 21)) (l + 25) (l - 26) (l + 28))",
+        "max_n_explored": 6,
+        "cutoff_bound": "1861/200",
+    },
+    (16, "float64"): {
+        "value": "14.019599999999999",
+        "witness": "(n 6 (l - 3) (l + 4) (n 6 (n 6 (l + 6) (l + 9) (l + 12) (l + 13)) (l - 14) (l + 17)"
+        " (l + 19) (l + 20) (l + 21)) (l + 25) (l - 26) (l + 28))",
+        "max_n_explored": 6,
+        "cutoff_bound": "9.3049999999999997",
+    },
+    (24, "rational"): {
+        "value": "2577/125",
+        "witness": "(n 6 (n 6 (l + 2) (l + 3) (l + 4) (l - 5) (l + 8)) (l + 10) (l - 14) (n 6 (l + 16)"
+        " (l + 18) (l + 21) (l + 24) (l + 27) (l + 29)) (n 6 (l + 30) (l - 32) (l + 35) (l + 38)"
+        " (l + 41) (n 6 (l + 42) (l + 44) (l + 45))) (l + 48))",
+        "max_n_explored": 6,
+        "cutoff_bound": "1381/100",
+    },
+    (24, "float64"): {
+        "value": "20.616",
+        "witness": "(n 6 (n 6 (l + 2) (l + 3) (l + 4) (l - 5) (l + 8)) (l + 10) (l - 14) (n 6 (l + 16)"
+        " (l + 18) (l + 21) (l + 24) (l + 27) (l + 29)) (n 6 (l + 30) (l - 32) (l + 35) (l + 38)"
+        " (l + 41) (n 6 (l + 42) (l + 44) (l + 45))) (l + 48))",
+        "max_n_explored": 6,
+        "cutoff_bound": "13.81",
+    },
+}
+
+
+class TestLateRecord:
+    """An A-ladder with increasing weights up to theta_6: the weight loop
+    cannot stop at the first small weights."""
+
+    def test_agrees_with_brute_force(self):
+        rng = random.Random("late-brute")
+        for m in range(2, 9):
+            x = random_vector(rng, m)
+            result = norm(LATE_RECORD, x)
+            assert result.max_n_explored == 6
+            # a tree over m points has depth at most m - 1
+            assert result.value == brute_norm(LATE_RECORD, x, m - 1), m
+
+    @pytest.mark.parametrize("m, arithmetic", sorted(LATE_RECORD_RESULTS))
+    def test_results_are_pinned(self, m, arithmetic):
+        spec = LATE_RECORD.replace(arithmetic=arithmetic)
+        x = random_vector(random.Random(f"late:{m}"), m, exact=spec.exact)
+        result = norm(spec, x)
+        assert result.as_dict() == LATE_RECORD_RESULTS[m, arithmetic]
+        assert not t.validate(spec, result.witness)
+
+
 FLOAT_SPACES = (
     SCHLUMPRECHT,
     t.preset("tzafriri:1/2"),
@@ -431,6 +496,27 @@ class TestWorkCounters:
         engine.witness(0, m)
         assert 0 < fill_steps <= fill_cap
         assert steps[0] <= fill_steps // 10
+
+    @pytest.mark.parametrize(
+        "label",
+        ("tsirelson", "geometric-s:1/2", "geometric-s:1/2+A3", "geometric-a:1/2", "schlumprecht", "tzafriri:1/2"),
+    )
+    def test_a_ladders_never_enter_the_chains(self, label, monkeypatch):
+        # an A-ladder reads every head off the base column: no chain level
+        # and no exclusive value; the S-types show the patch is live
+        def refuse(*args):
+            raise AssertionError("chain machinery entered")
+
+        monkeypatch.setattr(_Engine, "_exclusive", refuse)
+        monkeypatch.setattr(_Engine, "_head", refuse)
+        spec = _spec(label)
+        engine = _Engine(spec, _large_vector(label, 12, exact=spec.exact))
+        if spec.kind == "A":
+            engine.fill()
+            assert engine.max_n_explored >= 2
+        else:
+            with pytest.raises(AssertionError, match="chain machinery"):
+                engine.fill()
 
 
 class TestNoCyclicGarbage:
