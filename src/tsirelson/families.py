@@ -121,15 +121,20 @@ def is_member(family: FamilyExpr, elements: Iterable[int]) -> bool:
     return _member(family, elems)
 
 
+# the compiled program of a family, cached on the instance by ``_program``
+An._program = Sn._program = Compose._program = None
+
+
 def _program(family: FamilyExpr) -> tuple:
     """The transition program ``(start, outer, inner)``, cached on the
     instance.  A flat program (``outer`` None) counts free slots from
     ``start``: n for ``A_n``, 1 for ``S_0`` and -1 for ``S_1``, whose first
-    element e opens e slots.  A composition starts at ``(outer start, None)``."""
-    try:
-        return family.__dict__["_program"]
-    except KeyError:
-        pass
+    element e opens e slots.  A composition starts at ``(outer start, None)``.
+    The cache is set with ``object.__setattr__``, as ``Record`` sets its
+    hash, so that the field values stay inline in the instance."""
+    prog = getattr(family, "_program", None)
+    if prog is not None:
+        return prog
     if isinstance(family, An):
         prog = (family.n, None, None)
     elif isinstance(family, Sn) and family.n < 2:
@@ -141,7 +146,7 @@ def _program(family: FamilyExpr) -> tuple:
         prog = ((outer[0], None), outer, inner)
     else:
         raise TypeError(f"not a family: {family!r}")
-    family.__dict__["_program"] = prog
+    object.__setattr__(family, "_program", prog)
     return prog
 
 

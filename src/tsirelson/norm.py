@@ -57,11 +57,13 @@ gives the winning exclusive value, never the single piece itself.
 
 A-ladders.  In an A-type space every head ``A_n`` cuts into pieces of D
 itself, so its exclusive value on [i, j) is the l1 norm when j - i <= n and
-otherwise ``C_n(i)``.  The weight loop fills the base column in one call per
-interval, up to the last n whose tail bound beats a lower bound of
-``D[i][j]``: its best so far (at least ``D[i+1][j]``) or ``D[i][j-1]``,
-whichever is larger.  It reads each explored n off that fill, and fills
-further only if its own best is still below the bound there.
+otherwise ``C_n(i)``.  Such a space has a weight loop of its own
+(``_weigh_ladder``), with the n order, the tests and the first-maximum rule
+of the general one but no chain level and no exclusive values.  It fills the
+base column in one call per interval, up to the last n whose tail bound
+beats a lower bound of ``D[i][j]``: its best so far (at least ``D[i+1][j]``)
+or ``D[i][j-1]``, whichever is larger.  It reads each explored n off that
+fill, and fills further only if its own best is still below the bound there.
 
 Arithmetic.  The engine converts each coordinate of x once, on entry, to
 the space's arithmetic (``SpaceSpec.scalar``): a rational vector in a float
@@ -198,10 +200,15 @@ class _Column:
             k_from = kdone[e] + 1
             if k_from > k_to:
                 continue
-            # splits e + 1 .. j - k + 1; map stops at the shorter operand
+            # row k takes splits e + 1 .. j - k + 1 of the row before it;
+            # map stops at the shorter operand
             row = F[e][e + 1 : j]
-            for k in range(k_from, k_to + 1):
-                C[k][e] = max(map(add, row, C[k - 1][e + 1 : j - k + 2]))
+            prev = C[k_from - 1]
+            end = j - k_from + 2
+            for cur in C[k_from : k_to + 1]:
+                cur[e] = max(map(add, row, prev[e + 1 : end]))
+                prev = cur
+                end -= 1
             kdone[e] = k_to
 
     def best(self, i: int, K: int):
@@ -243,7 +250,6 @@ class _Engine:
     def _setup(self):
         """Scale, prefix sums, the base level and the weight caches."""
         space, m = self.space, self.m
-        self._n_start = 2 if space.kind == A_TYPE else 1
         self._tails: Dict[int, object] = {}
         self._thetas: Dict[int, object] = {}
         # the l1 norm of the whole support, in the space's own arithmetic
@@ -280,7 +286,7 @@ class _Engine:
         explored: n with theta_tail_sup(n) > 1/m.  A rational space has
         rational weights only: ``SpaceSpec`` refuses the others."""
         lcd = 1
-        n = self._n_start
+        n = 2 if self.space.kind == A_TYPE else 1
         while self._tail(n) * self.m > 1:
             lcd = math.lcm(lcd, self._theta(n).denominator)
             n += 1
@@ -414,6 +420,7 @@ class _Engine:
         absv, prefix = self._absv, self._prefix
         D, DT = self._base.F, self._base.FT
         decisions = self._decisions
+        weigh = self._weigh if self._ladder is None else self._weigh_ladder
         for j in range(1, self.m + 1):
             self._j = j
             for i in range(j - 1, -1, -1):
@@ -422,7 +429,11 @@ class _Engine:
                 if i == j - 1:
                     best, decision = absv[i], _LEAF
                 else:
-                    best, decision = self._weigh(i, j, ell)
+                    # the sup-norm candidates, then the weight loop
+                    best, decision = D[i + 1][j], _SUFFIX
+                    if absv[i] >= best:
+                        best, decision = absv[i], _LEAF
+                    best, decision = weigh(i, j, ell, best, decision)
                 D[i][j] = DT[j][i] = best
                 decisions[i][j] = decision
                 for level in self._tables:
@@ -434,24 +445,16 @@ class _Engine:
             # single-family spaces, or tiny supports where the loop never ran
             self.cutoff_bound = self.space.theta_tail_sup(2) * self._ell1
 
-    def _weigh(self, i: int, j: int, ell):
-        """(D[i][j], decision) for j - i >= 2: the sup-norm candidates, then
-        theta_n times each head's exclusive value, n ascending until the
-        tail bound is dominated."""
+    def _weigh(self, i: int, j: int, ell, best, decision):
+        """(D[i][j], decision) for j - i >= 2 in an S-type or single-family
+        space, from the best sup-norm candidate: theta_n times each head's
+        exclusive value, n ascending until the tail bound is dominated."""
         space = self.space
         exact = space.exact
-        absv = self._absv
-        best = self._base.F[i + 1][j]
-        decision = _SUFFIX
-        if absv[i] >= best:
-            best = absv[i]
-            decision = _LEAF
         self._exclusives = {}
         single = space.kind == SINGLE
         tails, thetas, heads = self._tails, self._thetas, self._heads
-        ladder = self._ladder
-        column = None
-        n = self._n_start
+        n = 1
         while not (single and n > 1):
             tail = tails.get(n)
             if tail is None:
@@ -475,21 +478,10 @@ class _Engine:
                 explore = theta * ell > best
             if explore:
                 self.max_n_explored = max(self.max_n_explored, n)
-                if ladder is None:
-                    head = heads.get(n)
-                    if head is None:
-                        head = self._head(n)
-                    cand = self._exclusive(head, i, j, ell)
-                elif j - i <= n:
-                    # A_n takes all singletons when they fit
-                    cand = (ell, ladder, None)
-                else:
-                    # else C_n(i), read off one fill of the column
-                    if column is None:
-                        column = self._column(self._base, j)
-                        column.best(i, self._reach(i, j, ell, n, best))
-                    c = column.C[n][i] if n <= column.kdone[i] else column.best(i, n)
-                    cand = (c, ladder, c)
+                head = heads.get(n)
+                if head is None:
+                    head = self._head(n)
+                cand = self._exclusive(head, i, j, ell)
                 if cand is not None:
                     if exact:
                         value, rem = divmod(p * cand[0], q)
@@ -503,10 +495,73 @@ class _Engine:
             n += 1
         return best, decision
 
+    def _weigh_ladder(self, i: int, j: int, ell, best, decision):
+        """``_weigh`` in an A-type space: the exclusive value of A_n is ell
+        when j - i <= n, else C_n(i), read off one fill of the base column."""
+        exact = self.space.exact
+        tails, thetas = self._tails, self._thetas
+        ladder = self._ladder
+        length = j - i
+        column = None
+        explored = 0
+        n = 2
+        while True:
+            tail = tails.get(n)
+            if tail is None:
+                tail = self._tail(n)
+            if exact:
+                if not tail.numerator * ell > tail.denominator * best:
+                    break
+            elif not tail * ell > best:
+                break
+            theta = thetas.get(n)
+            if theta is None:
+                theta = self._theta(n)
+            if exact:
+                p, q = theta.numerator, theta.denominator
+                explore = p * ell > q * best
+            else:
+                explore = theta * ell > best
+            if explore:
+                explored = n
+                if length <= n:
+                    # A_n takes all singletons when they fit
+                    c = ell
+                    split = None
+                else:
+                    if column is None:
+                        column = self._column(self._base, j)
+                        column.best(i, self._reach(i, j, ell, n, best))
+                        C, kdone = column.C, column.kdone[i]
+                    if n <= kdone:
+                        c = C[n][i]
+                    else:
+                        c = column.best(i, n)
+                        kdone = n  # best filled row i up to n
+                    split = c
+                if exact:
+                    value, rem = divmod(p * c, q)
+                    if rem:
+                        raise ArithmeticError("node value is not a multiple of the scale")
+                else:
+                    value = theta * c
+                if value > best:
+                    best = value
+                    decision = (n, ladder, split)
+            n += 1
+        if i == 0 and j == self.m:
+            self.cutoff_bound = tail * self._ell1
+        if explored > self.max_n_explored:
+            self.max_n_explored = explored
+        return best, decision
+
     def _reach(self, i: int, j: int, ell, n: int, best) -> int:
         """The last weight index from n on, below j - i, whose tail bound
         beats max(best, D[i][j-1]), a lower bound of D[i][j]: the weight
-        loop passes it only while its own best stays below that bound."""
+        loop passes it only while its own best stays below that bound.  The
+        tails are nonincreasing, but a linear scan beats a bisection: the
+        scan stops after a few indices, and a bisection computes tail
+        bounds far beyond them."""
         lower = max(best, self._base.F[i][j - 1])
         exact = self.space.exact
         top = n

@@ -256,6 +256,16 @@ class TestFamilyHash:
             assert family == t.parse_family(str(family))
             assert repr(family) == repr(t.parse_family(str(family)))
 
+    @pytest.mark.parametrize("text", ["A3", "S0", "S2", "S1[A2]", "S1[A2][A3]"])
+    def test_the_program_cache_is_no_field(self, text):
+        family, fresh = t.parse_family(text), t.parse_family(text)
+        assert t.is_member(family, (3, 4, 5)) == t.is_member(fresh, (3, 4, 5))
+        prog = families._program(family)
+        assert families._program(family) is prog and family._program is prog
+        assert family == fresh and hash(family) == hash(fresh)
+        assert repr(family) == repr(fresh) and "_program" not in repr(family)
+        assert "_program" not in family._fields
+
 
 class TestParser:
     @pytest.mark.parametrize("text", ["A3", "S2", "S2[A3]", "A4[S1[A2]]", "S1[A2][A2]"])
