@@ -258,8 +258,9 @@ class TestFamilyHash:
 
     @pytest.mark.parametrize("text", ["A3", "S0", "S2", "S1[A2]", "S1[A2][A3]"])
     def test_the_program_cache_is_no_field(self, text):
+        # a family that went through is_member against one that did not
         family, fresh = t.parse_family(text), t.parse_family(text)
-        assert t.is_member(family, (3, 4, 5)) == t.is_member(fresh, (3, 4, 5))
+        t.is_member(family, (3, 4, 5))
         prog = families._program(family)
         assert families._program(family) is prog and family._program is prog
         assert family == fresh and hash(family) == hash(fresh)

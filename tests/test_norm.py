@@ -267,7 +267,7 @@ LATE_RECORD = t.SpaceSpec(
     name="late-record",
 )
 
-# norm(...).as_dict() of the parent engine on random_vector(Random(f"late:{m}"), m)
+# recorded norm(...).as_dict() on random_vector(Random(f"late:{m}"), m)
 LATE_RECORD_RESULTS = {
     (16, "rational"): {
         "value": "35049/2500",
