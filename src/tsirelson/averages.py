@@ -44,12 +44,6 @@ def basis_pool(start: int = 1) -> Iterator[SparseVector]:
 # l_r averages
 
 
-def _lr_norm(a: Sequence, r) -> float:
-    if r == 1:
-        return float(sum(abs(float(v)) for v in a))
-    return float(sum(abs(float(v)) ** r for v in a)) ** (1.0 / r)
-
-
 def estimate_equiv_const(
     space: SpaceSpec,
     blocks: Sequence[SparseVector],
@@ -92,7 +86,7 @@ def estimate_equiv_const(
         if not combo:
             continue
         nrm = float(norm(space, combo).value)
-        lr = _lr_norm(a, r)
+        lr = SparseVector.from_pairs(enumerate(a, 1)).ellp(r)
         if nrm == 0 or lr == 0:
             continue
         best = max(best, nrm / lr, lr / nrm)

@@ -81,6 +81,12 @@ so every value is an integer multiple of 1/G and a node's value
 ``p * S // q`` is an exact division, which is checked.  Values become
 ``Fraction`` only at the interface; the cutoff certificate is computed in
 the space's own arithmetic.
+The weight loops read every weight through one table (``_Weights``):
+theta_n = p/q and its tail sup tp/tq, as integers in an exact space and
+with q = tq = 1.0 in a float space.  So one test ``p * ell > q * best``
+and one node value ``p * S``, divided by q when q != 1, serve both
+arithmetics; in floats ``1.0 * best`` is ``best`` exactly, and every
+comparison and product is the one a float weight gives.
 
 ``brute_norm`` is an independent oracle that enumerates tree functionals
 over the support directly.
@@ -90,6 +96,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
@@ -230,6 +237,23 @@ class _Column:
         return self.C[K][i]
 
 
+class _Weights(dict):
+    """n -> (tp, tq, p, q), filled on its first read: theta_tail_sup(n) =
+    tp/tq and theta_for_index(n) = p/q, integers in an exact space and with
+    tq = q = 1.0 in a float space (see Arithmetic above)."""
+
+    def __init__(self, space: SpaceSpec):
+        self.space = space
+
+    def __missing__(self, n: int):
+        tail, theta = self.space.theta_tail_sup(n), self.space.theta_for_index(n)
+        if self.space.exact:
+            self[n] = (tail.numerator, tail.denominator, theta.numerator, theta.denominator)
+        else:
+            self[n] = (tail, 1.0, theta, 1.0)
+        return self[n]
+
+
 class _Engine:
     """Interval DP over the support of one vector in one space."""
 
@@ -248,15 +272,9 @@ class _Engine:
     # -- set-up --------------------------------------------------------------
 
     def _setup(self):
-        """Scale, prefix sums, the base level and the weight caches."""
+        """Scale, prefix sums, the base level and the weight table."""
         space, m = self.space, self.m
-        self._tails: Dict[int, object] = {}
-        self._thetas: Dict[int, object] = {}
-        # the l1 norm of the whole support, in the space's own arithmetic
-        total = space.scalar(0)
-        for v in self.abs_values:
-            total = total + v
-        self._ell1 = total
+        self._weights = _Weights(space)
         if space.exact:
             values = self.abs_values
             self._scale = math.lcm(*(v.denominator for v in values)) * self._theta_lcd() ** (m - 1)
@@ -269,6 +287,8 @@ class _Engine:
             prefix.append(prefix[-1] + v)
         self._absv = absv
         self._prefix = prefix
+        # the l1 norm of the whole support, in the space's own arithmetic
+        self._ell1 = Fraction(prefix[m], self._scale) if space.exact else prefix[m]
         base = self._base = _Level(None, None, None)
         self._new_table(base)
         self._levels: Dict[tuple, _Level] = {(): base}
@@ -284,25 +304,18 @@ class _Engine:
     def _theta_lcd(self) -> int:
         """Common denominator of theta_n over the weight indices that can be
         explored: n with theta_tail_sup(n) > 1/m.  A rational space has
-        rational weights only: ``SpaceSpec`` refuses the others."""
+        rational weights only: ``SpaceSpec`` refuses the others.  A
+        single-family space stops at index 1, the only one it has."""
         lcd = 1
         n = 2 if self.space.kind == A_TYPE else 1
-        while self._tail(n) * self.m > 1:
-            lcd = math.lcm(lcd, self._theta(n).denominator)
+        single = self.space.kind == SINGLE
+        while not (single and n > 1):
+            tp, tq, _, q = self._weights[n]
+            if not tp * self.m > tq:
+                break
+            lcd = math.lcm(lcd, q)
             n += 1
         return lcd
-
-    def _tail(self, n: int):
-        tail = self._tails.get(n)
-        if tail is None:
-            tail = self._tails[n] = self.space.theta_tail_sup(n)
-        return tail
-
-    def _theta(self, n: int):
-        theta = self._thetas.get(n)
-        if theta is None:
-            theta = self._thetas[n] = self.space.theta_for_index(n)
-        return theta
 
     def _new_table(self, level: _Level):
         size = self.m + 1
@@ -449,46 +462,28 @@ class _Engine:
         """(D[i][j], decision) for j - i >= 2 in an S-type or single-family
         space, from the best sup-norm candidate: theta_n times each head's
         exclusive value, n ascending until the tail bound is dominated."""
-        space = self.space
-        exact = space.exact
         self._exclusives = {}
-        single = space.kind == SINGLE
-        tails, thetas, heads = self._tails, self._thetas, self._heads
+        single = self.space.kind == SINGLE
+        weights, heads = self._weights, self._heads
         n = 1
         while not (single and n > 1):
-            tail = tails.get(n)
-            if tail is None:
-                tail = self._tail(n)
-            if exact:
-                dominated = not tail.numerator * ell > tail.denominator * best
-            else:
-                bound = tail * ell
-                dominated = not bound > best
-            if dominated:
+            tp, tq, p, q = weights[n]
+            if not tp * ell > tq * best:
                 if i == 0 and j == self.m:
-                    self.cutoff_bound = tail * self._ell1
+                    self.cutoff_bound = tp * self._ell1 / tq
                 break
-            theta = thetas.get(n)
-            if theta is None:
-                theta = self._theta(n)
-            if exact:
-                p, q = theta.numerator, theta.denominator
-                explore = p * ell > q * best
-            else:
-                explore = theta * ell > best
-            if explore:
+            if p * ell > q * best:
                 self.max_n_explored = max(self.max_n_explored, n)
                 head = heads.get(n)
                 if head is None:
                     head = self._head(n)
                 cand = self._exclusive(head, i, j, ell)
                 if cand is not None:
-                    if exact:
-                        value, rem = divmod(p * cand[0], q)
+                    value = p * cand[0]
+                    if q != 1:
+                        value, rem = divmod(value, q)
                         if rem:
                             raise ArithmeticError("node value is not a multiple of the scale")
-                    else:
-                        value = theta * cand[0]
                     if value > best:
                         best = value
                         decision = (n, cand[1], cand[2])
@@ -498,31 +493,17 @@ class _Engine:
     def _weigh_ladder(self, i: int, j: int, ell, best, decision):
         """``_weigh`` in an A-type space: the exclusive value of A_n is ell
         when j - i <= n, else C_n(i), read off one fill of the base column."""
-        exact = self.space.exact
-        tails, thetas = self._tails, self._thetas
+        weights = self._weights
         ladder = self._ladder
         length = j - i
         column = None
         explored = 0
         n = 2
         while True:
-            tail = tails.get(n)
-            if tail is None:
-                tail = self._tail(n)
-            if exact:
-                if not tail.numerator * ell > tail.denominator * best:
-                    break
-            elif not tail * ell > best:
+            tp, tq, p, q = weights[n]
+            if not tp * ell > tq * best:
                 break
-            theta = thetas.get(n)
-            if theta is None:
-                theta = self._theta(n)
-            if exact:
-                p, q = theta.numerator, theta.denominator
-                explore = p * ell > q * best
-            else:
-                explore = theta * ell > best
-            if explore:
+            if p * ell > q * best:
                 explored = n
                 if length <= n:
                     # A_n takes all singletons when they fit
@@ -539,18 +520,17 @@ class _Engine:
                         c = column.best(i, n)
                         kdone = n  # best filled row i up to n
                     split = c
-                if exact:
-                    value, rem = divmod(p * c, q)
+                value = p * c
+                if q != 1:
+                    value, rem = divmod(value, q)
                     if rem:
                         raise ArithmeticError("node value is not a multiple of the scale")
-                else:
-                    value = theta * c
                 if value > best:
                     best = value
                     decision = (n, ladder, split)
             n += 1
         if i == 0 and j == self.m:
-            self.cutoff_bound = tail * self._ell1
+            self.cutoff_bound = tp * self._ell1 / tq
         if explored > self.max_n_explored:
             self.max_n_explored = explored
         return best, decision
@@ -563,17 +543,11 @@ class _Engine:
         scan stops after a few indices, and a bisection computes tail
         bounds far beyond them."""
         lower = max(best, self._base.F[i][j - 1])
-        exact = self.space.exact
+        weights = self._weights
         top = n
         while top < j - i - 1:
-            tail = self._tails.get(top + 1)
-            if tail is None:
-                tail = self._tail(top + 1)
-            if exact:
-                beats = tail.numerator * ell > tail.denominator * lower
-            else:
-                beats = tail * ell > lower
-            if not beats:
+            tp, tq, _, _ = weights[top + 1]
+            if not tp * ell > tq * lower:
                 break
             top += 1
         return top
@@ -723,27 +697,31 @@ def brute_norm(space: SpaceSpec, x: SparseVector, depth_cap: int):
 
     single = space.kind == SINGLE
 
-    def theta_options(minima: Tuple[int, ...], n_cap: int) -> List[int]:
-        """Weight indices n <= n_cap admitting these minima."""
+    def least_index(minima: Tuple[int, ...], n_cap: int) -> Optional[int]:
+        """The least weight index n <= n_cap admitting these minima, or
+        None; admissibility is monotone in n, so every n up to n_cap from
+        there admits them too."""
         if single:
-            return [1] if families.is_member(space.family_for_index(1), minima) else []
+            return 1 if families.is_member(space.family_for_index(1), minima) else None
         if space.kind == A_TYPE:
-            lo = len(minima)
-            return list(range(max(lo, 1), n_cap + 1))
-        # S-type: admissibility is monotone in n; binary search the threshold
+            lo = max(len(minima), 1)
+            return lo if lo <= n_cap else None
+        # S-type: binary search the threshold
         lo, hi = 1, n_cap
         if not families.is_member(space.family_for_index(hi), minima):
-            return []
+            return None
         while lo < hi:
             mid = (lo + hi) // 2
             if families.is_member(space.family_for_index(mid), minima):
                 hi = mid
             else:
                 lo = mid + 1
-        return list(range(lo, n_cap + 1))
+        return lo
 
-    def best_theta(ns: List[int]):
-        return max(space.theta_for_index(n) for n in ns) if ns else None
+    @cache
+    def best_theta(lo: int, n_cap: int):
+        """max theta_n over lo <= n <= n_cap."""
+        return max(space.theta_for_index(n) for n in range(lo, n_cap + 1))
 
     def rec(sub: Tuple[int, ...], depth: int):
         key = (sub, depth)
@@ -761,10 +739,10 @@ def brute_norm(space: SpaceSpec, x: SparseVector, depth_cap: int):
             for subset in _nonempty_subsets(sub):
                 for pieces in _successive_splits(subset):
                     minima = tuple(p[0] for p in pieces)
-                    ns = theta_options(minima, n_cap)
-                    theta = best_theta(ns)
-                    if theta is None:
+                    lo = least_index(minima, n_cap)
+                    if lo is None:
                         continue
+                    theta = best_theta(lo, n_cap)
                     total = sum(rec(p, depth - 1) for p in pieces)
                     cand = theta * total
                     if cand > best:

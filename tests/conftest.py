@@ -1,10 +1,18 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import tsirelson as t
 from tsirelson.norm import norm
+
+
+def child_env():
+    """The environment of a child interpreter that imports the package
+    under test, also from a checkout where it is not installed."""
+    return dict(os.environ, PYTHONPATH=str(Path(t.__file__).resolve().parents[1]))
 
 
 def exhaustive_member(family, elems):

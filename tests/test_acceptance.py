@@ -20,7 +20,7 @@ from tsirelson.generators import random_blocks, random_valid_functional, random_
 from tsirelson.norm import brute_norm, norm
 from tsirelson.vectors import sum_vectors
 
-from conftest import random_aux_functional, random_partition_instance
+from conftest import child_env, random_aux_functional, random_partition_instance
 
 TSIRELSON = t.preset("tsirelson")
 GEOM_S = t.preset("geometric-s:1/2")
@@ -321,6 +321,7 @@ def test_criterion_11_determinism(tmp_path):
                         [sys.executable, "-m", "tsirelson.cli", "--json", str(out)]
                         + cmd,
                         stdout=subprocess.DEVNULL,
+                        env=child_env(),
                     ),
                 )
             )

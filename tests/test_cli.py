@@ -1,10 +1,8 @@
 import argparse
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -12,6 +10,8 @@ import tsirelson as t
 from tsirelson.cli import build_parser, run
 from tsirelson.scalars import render_scalar
 from tsirelson.vectors import format_vector, parse_vector
+
+from conftest import child_env
 
 
 def invoke(args, capsys):
@@ -442,6 +442,7 @@ class TestConsoleScript:
             ],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "norm = 1/1" in proc.stdout
@@ -465,9 +466,8 @@ PUBLIC_NAMES = [
 def _loaded_modules(code):
     """The modules a fresh interpreter holds after running `code`."""
     script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=str(Path(t.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))

@@ -1,3 +1,4 @@
+import collections
 import gc
 import inspect
 import random
@@ -17,6 +18,8 @@ GEOM_S = t.preset("geometric-s:1/2")
 GEOM_S_SLOW = t.preset("geometric-s:9/10")
 SCHLUMPRECHT = t.preset("schlumprecht")
 C0_A2 = t.SpaceSpec("single", single_family=t.An(2), single_theta=Fraction(1, 2))
+# an exact weight with denominator 1: node values need no division
+S1_FULL = t.SpaceSpec("single", single_family=t.Sn(1), single_theta=Fraction(1), name="s1-full")
 ELL2 = t.preset("ellp:2")
 
 
@@ -89,7 +92,7 @@ class TestWitness:
 
 class TestOracle:
     @pytest.mark.parametrize(
-        "spec", [TSIRELSON, GEOM_S, GEOM_S_SLOW, C0_A2], ids=lambda s: s.name or "c0"
+        "spec", [TSIRELSON, GEOM_S, GEOM_S_SLOW, C0_A2, S1_FULL], ids=lambda s: s.name or "c0"
     )
     def test_exact_agreement(self, spec, rng):
         for _ in range(30):
@@ -517,6 +520,23 @@ class TestWorkCounters:
         else:
             with pytest.raises(AssertionError, match="chain machinery"):
                 engine.fill()
+
+    @pytest.mark.parametrize("label, m", [("schlumprecht", 44), ("geometric-s:1/2", 40)])
+    def test_each_weight_is_computed_once(self, label, m, monkeypatch):
+        # the weight loops, the scale and the cutoff certificate read the
+        # weights through one table
+        spec = _spec(label)
+        x = _large_vector(label, m, exact=spec.exact)
+        calls = collections.Counter()
+        for name in ("theta_tail_sup", "theta_for_index"):
+
+            def counted(space, n, name=name, method=getattr(t.SpaceSpec, name)):
+                calls[name, n] += 1
+                return method(space, n)
+
+            monkeypatch.setattr(t.SpaceSpec, name, counted)
+        _Engine(spec, x).fill()
+        assert calls and max(calls.values()) == 1, calls
 
 
 class TestNoCyclicGarbage:
