@@ -316,6 +316,8 @@ def audit_kriv(
 
     if space.kind != A_TYPE or space.p_hint is None:
         raise ValueError("the Krivine audit needs an A-type p-space preset")
+    if N < 1 or r < 1:
+        raise ValueError(f"the Krivine audit needs N >= 1 and r >= 1, got N={N}, r={r}")
     p = float(space.p_hint)
     scale = 1
     while True:

@@ -197,6 +197,8 @@ def build_averaging_tree(
     if space.exact and not isinstance(theta_est, Fraction):
         theta_est = Fraction(theta_est).limit_denominator(10**6)
     eps = space.scalar(epsilon)
+    if not eps > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     pool_iter = iter(pool)
     counters = {j: 0 for j in range(M + 1)}
     prev_max: dict = {j: None for j in range(M + 1)}

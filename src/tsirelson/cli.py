@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -29,7 +30,9 @@ def _load_space(args):
     arithmetic = getattr(args, "arithmetic", None)
     try:
         spec = spaces.preset(name)
-    except ValueError:
+    except ValueError as exc:
+        if not os.path.exists(name):
+            raise ValueError(f"{exc}, and no space file {name!r}") from None
         # the override is applied while the file is parsed: a rational
         # default would refuse irrational weights before it could win
         with open(name, "r", encoding="utf-8") as fh:

@@ -29,7 +29,7 @@ tuple is a member of every family.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Callable, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import NonSuccessive, ParseError, SupportTooLarge, Unbounded
 from .records import Record
@@ -183,21 +183,34 @@ def _member(family: FamilyExpr, elems: FiniteSet) -> bool:
     return _fold(_program(family), elems) is not None
 
 
-def _greedy_pieces(inner: FamilyExpr, elems: FiniteSet) -> Tuple[FiniteSet, ...]:
-    """Peel maximal inner-family pieces left to right: push each element
-    onto the current piece until the first refusal, which opens the next."""
-    prog = _program(inner)
+def greedy_pieces(
+    family: FamilyExpr, elems: FiniteSet, cut_ok: Optional[Callable[[int], bool]] = None
+) -> Optional[Tuple[FiniteSet, ...]]:
+    """Peel the longest family members off ``elems``, left to right.
+
+    A piece may end before position ``pos`` only where ``cut_ok(pos)``
+    holds (everywhere when ``cut_ok`` is None); each piece ends at the last
+    allowed position its run of members reaches, and None means some piece
+    can end nowhere.  The greedy splits into the fewest pieces: its j-th
+    piece ends no earlier than the j-th piece of any other split, since the
+    part of that piece past the greedy's previous end is a member (a subset
+    of one) that ends at an allowed position."""
+    prog = _program(family)
     pieces = []
     first = 0
-    state = prog[0]
-    for pos, e in enumerate(elems):
-        state = _push(prog, state, e)
-        if state is None:
-            pieces.append(elems[first:pos])
-            first = pos
-            state = _push(prog, prog[0], e)
-    if elems:
-        pieces.append(elems[first:])
+    while first < len(elems):
+        state, pos, end = prog[0], first, None
+        while pos < len(elems):
+            state = _push(prog, state, elems[pos])
+            if state is None:
+                break
+            pos += 1
+            if cut_ok is None or pos == len(elems) or cut_ok(pos):
+                end = pos
+        if end is None:
+            return None
+        pieces.append(elems[first:end])
+        first = end
     return tuple(pieces)
 
 
@@ -236,7 +249,7 @@ def _decompose_member(family: FamilyExpr, elems: FiniteSet) -> Decomposition:
     if isinstance(family, An) or (isinstance(family, Sn) and family.n == 0):
         return Decomposition(family, elems, None)
     inner = Sn(family.n - 1) if isinstance(family, Sn) else family.inner
-    pieces = _greedy_pieces(inner, elems)
+    pieces = greedy_pieces(inner, elems)
     return Decomposition(
         family, elems, tuple(_decompose_member(inner, p) for p in pieces)
     )
@@ -334,15 +347,25 @@ def _max_run(family: FamilyExpr, start: int) -> int:
     raise TypeError(f"not a family: {family!r}")
 
 
+# Deepest family ``parse_family`` accepts: ``S_n`` counts n levels (``S_0``
+# and ``A_n`` one), and a composition the levels of both its parts.  The
+# program and the membership push recurse once per level, so a deeper
+# expression is a parse error, not a RecursionError.
+MAX_FAMILY_DEPTH = 200
+
+
 def parse_family(text: str) -> FamilyExpr:
-    """Parse the family grammar: ``A<n>``, ``S<n>``, ``M[N]``, nested."""
-    expr, pos = _parse_family_at(text, 0)
+    """Parse the family grammar: ``A<n>``, ``S<n>``, ``M[N]``, nested, at
+    most ``MAX_FAMILY_DEPTH`` levels deep."""
+    expr, pos, _ = _parse_family_at(text, 0, MAX_FAMILY_DEPTH)
     if pos != len(text):
         raise ParseError(f"trailing input {text[pos:]!r}", position=pos)
     return expr
 
 
-def _parse_family_at(text: str, pos: int):
+def _parse_family_at(text: str, pos: int, budget: int):
+    """The expression at ``pos``, the position after it and its depth,
+    refused once the depth passes ``budget``."""
     if pos >= len(text):
         raise ParseError("unexpected end of family expression", position=pos)
     head = text[pos]
@@ -354,18 +377,22 @@ def _parse_family_at(text: str, pos: int):
         pos += 1
     if digits_start == pos:
         raise ParseError("expected an index after family letter", position=pos)
-    index = int(text[digits_start:pos])
     try:
+        index = int(text[digits_start:pos])
         expr: FamilyExpr = An(index) if head == "A" else Sn(index)
     except ValueError as exc:
         raise ParseError(str(exc), position=digits_start) from None
+    depth = max(index, 1) if head == "S" else 1
+    if depth > budget:
+        raise ParseError(f"family nested deeper than {MAX_FAMILY_DEPTH} levels", position=pos)
     while pos < len(text) and text[pos] == "[":
-        inner, inner_end = _parse_family_at(text, pos + 1)
+        inner, inner_end, inner_depth = _parse_family_at(text, pos + 1, budget - depth)
         if inner_end >= len(text) or text[inner_end] != "]":
             raise ParseError("expected ']'", position=inner_end)
         expr = Compose(expr, inner)
+        depth += inner_depth
         pos = inner_end + 1
-    return expr, pos
+    return expr, pos, depth
 
 
 def family_members(family: FamilyExpr, ground: int):

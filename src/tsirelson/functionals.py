@@ -10,12 +10,18 @@ The surgery operations:
 * ``split_xk`` rewrites a functional that is valid in the auxiliary space
   (inner ``A_k`` composed into every level family) as a sum of at most k+1
   successive functionals valid in the plain space, by regrouping the
-  inductively split children along a family decomposition.
+  inductively split children greedily; given blocks, a group never ends
+  between two points of one block.
 * ``make_comparable`` rewrites a functional so that no node support straddles
   a block of a given block sequence partially, losing at most a factor 6
   (A-type ladder, by local split/erase moves at covering nodes) or 4 (S-type
-  ladder, by boundary splitting into the inner-A_3 auxiliary space followed
-  by ``split_xk``).  Both constants are certified per instance.
+  ladder).  On S-type ladders the boundary splitting into the inner-A_3
+  auxiliary space leaves every node with points of one block only or with
+  all of f's points of each block it meets; a node of one block is valid in
+  the plain space and kept whole, so every part of the block-aware
+  ``split_xk`` is comparable, and the best of at most 4 parts gives the
+  constant by construction.  Both constants are still checked per instance,
+  against |f(v)| for the value f(v) of the functional rewritten.
 
 The surgery reads block containment off subtree ends.  Every tree it handles
 has successive children at every node: ``make_comparable`` validates its
@@ -275,14 +281,19 @@ def parse_functional(text: str) -> TreeFunctional:
 # X_k splitting
 
 
-def split_xk(space: SpaceSpec, f: TreeFunctional) -> List[TreeFunctional]:
+def split_xk(
+    space: SpaceSpec, f: TreeFunctional, blocks: Optional[Sequence[SparseVector]] = None
+) -> List[TreeFunctional]:
     """Split a functional valid in the inner-A_k auxiliary space into at most
     k+1 successive functionals valid in the plain space, summing to it.
 
     Subtrees valid in the plain space are kept whole.  At any other node the
-    regrouping decomposes the collected child-part minima inside
-    A_{k+1}[S_n] (possible because k(k+1) < 2^{k+1}) and wraps each group
-    under the original weight.
+    collected child parts are regrouped left to right, each group the longest
+    run of parts whose minima the level family admits (the greedy of
+    ``families.greedy_pieces``, at most k+1 groups because k(k+1) < 2^{k+1}),
+    and each group is wrapped under the original weight.  With ``blocks``, a
+    group ends only between parts whose facing points lie in different
+    blocks, so no group splits the points of a block that its node holds.
     """
     k = space.inner_ak
     if k is None:
@@ -291,23 +302,37 @@ def split_xk(space: SpaceSpec, f: TreeFunctional) -> List[TreeFunctional]:
         raise InvalidInput("functional is not valid in the auxiliary space")
     plain = space.with_inner_ak(None)
     check_leaf, check_node = _checks(plain)
+    owner = {c: i for i, b in enumerate(blocks or ()) for c in b.support}
 
     def node(g: Node, kids):
+        """The check of g and its parts, each with its first and last point."""
         checked = check_node(g, [c for c, _ in kids])
         if not checked[2]:
-            return checked, [g]
+            return checked, [(g, checked[0], checked[1])]
         parts = [p for _, split in kids for p in split]
-        minima = tuple(next(leaves(p)).coordinate for p in parts)
-        grouping = families.Compose(families.An(k + 1), plain.family_for_index(g.weight_index))
-        witness = families.decompose(grouping, minima)
-        if witness is None:
+
+        def cut_ok(i):  # no block runs on from part i-1 into part i
+            left = owner.get(parts[i - 1][2])
+            return left is None or left != owner.get(parts[i][1])
+
+        minima = tuple(lo for _, lo, _ in parts)
+        fam = plain.family_for_index(g.weight_index)
+        pieces = families.greedy_pieces(fam, minima, cut_ok)
+        if pieces is None or len(pieces) > k + 1:
             raise SurgeryFailed(
                 f"minima {minima} admit no A_{k + 1}-regrouping at level {g.weight_index}"
             )
         rest = iter(parts)
-        return checked, [_rebuild(g, islice(rest, len(piece))) for piece in witness.piece_sets()]
+        groups = [list(islice(rest, len(piece))) for piece in pieces]
+        return checked, [
+            (_rebuild(g, (p for p, _, _ in group)), group[0][1], group[-1][2])
+            for group in groups
+        ]
 
-    parts = fold(f, lambda g: (check_leaf(g), [g]), node)[1]
+    def leaf(g: Leaf):
+        return check_leaf(g), [(g, g.coordinate, g.coordinate)]
+
+    parts = [p for p, _, _ in fold(f, leaf, node)[1]]
     for part in parts:
         if validate(plain, part):
             raise SurgeryFailed("split produced an invalid part")
@@ -330,7 +355,7 @@ def make_comparable(
     """Rewrite f into a functional comparable with the blocks.
 
     Certifies per instance: the output validates, is comparable, and
-    c * f'(v) >= f(v) for v the sum of the blocks, with c = 6 on the A-type
+    c * f'(v) >= |f(v)| for v the sum of the blocks, with c = 6 on the A-type
     ladder and c = 4 on the S-type ladder.  Functionals acting negatively on
     v are sign-flipped first (the norming set is symmetric), which is the
     normalization under which the split/erase accounting is meaningful.
@@ -342,10 +367,9 @@ def make_comparable(
     if not blocks:
         raise InvalidInput("need at least one block")
     v = sum_vectors(blocks)
-    target = eval_functional(space, f, v)
-    work = f
-    if target < 0:
-        work = negate_functional(f)
+    value = eval_functional(space, f, v)
+    work = negate_functional(f) if value < 0 else f
+    target = abs(value)
     if is_comparable(work, blocks):
         return work
     constant = comparability_constant(space)
@@ -552,19 +576,13 @@ def _rebuild_children(f, path, new_children: Sequence[TreeFunctional]):
 
 
 def _comparable_stype(space, f, blocks, v):
-    """Boundary splitting into the inner-A_3 auxiliary tree, then split_xk."""
+    """Boundary splitting into the inner-A_3 auxiliary tree, then the block-aware split_xk."""
     aux = space.with_inner_ak(3)
     expanded = _expand_boundaries(f, blocks)
     if validate(aux, expanded):
         raise SurgeryFailed("boundary expansion left the auxiliary space")
-    parts = split_xk(aux, expanded)
-    comparable_parts = [p for p in parts if is_comparable(p, blocks)]
-    if not comparable_parts:
-        repaired = [_prune_partial_blocks(space, p, blocks) for p in parts]
-        comparable_parts = [p for p in repaired if p is not None and is_comparable(p, blocks)]
-    if not comparable_parts:
-        raise SurgeryFailed("no comparable part after X_3 splitting")
-    return max(comparable_parts, key=lambda p: eval_functional(space, p, v))
+    parts = split_xk(aux, expanded, blocks)
+    return max(parts, key=lambda p: eval_functional(space, p, v))
 
 
 def _expand_boundaries(f: TreeFunctional, blocks) -> TreeFunctional:
@@ -603,41 +621,3 @@ def _expand_boundaries(f: TreeFunctional, blocks) -> TreeFunctional:
         return out
 
     return fold(f, lambda g: g, _rebuild, children=pieces)
-
-
-def _prune_partial_blocks(space, g, blocks):
-    """Repair pass: for blocks met partially by some node, keep only the
-    best-evaluating maximal fully-inside chunk and erase the rest of the
-    block's coordinates from g."""
-    block_ranges = [b.range() for b in blocks]
-    for _ in range(len(blocks) + 1):
-        bad = _partially_met(g, blocks)
-        if not bad:
-            return g
-        for block_idx in sorted(bad):
-            blo, bhi = block_ranges[block_idx]
-            best = max(
-                _max_inside_chunks(g, blo, bhi),
-                key=lambda c: eval_functional(space, c, blocks[block_idx]),
-                default=None,
-            )
-            keep = set() if best is None else set(support(best))
-            g = restrict_functional(g, {c for c in support(g) if not blo <= c <= bhi or c in keep})
-            if g is None:
-                return None
-    return g
-
-
-def _max_inside_chunks(g: TreeFunctional, lo: int, hi: int) -> List[TreeFunctional]:
-    """Maximal subtrees of g whose support lies inside [lo, hi], left to right."""
-
-    def leaf(t: Leaf):
-        return t.coordinate, t.coordinate, [t] if lo <= t.coordinate <= hi else []
-
-    def node(t: Node, kids):
-        first, last = kids[0][0], kids[-1][1]
-        if first >= lo and last <= hi:
-            return first, last, [t]
-        return first, last, [chunk for kid in kids for chunk in kid[2]]
-
-    return fold(g, leaf, node)[2]

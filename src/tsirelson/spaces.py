@@ -445,6 +445,8 @@ def preset(name: str) -> SpaceSpec:
         )
     if base == "ellp":
         q = float(parse_scalar(arg)) if arg else 2.0
+        if not q > 0:
+            raise ValueError(f"ellp needs q > 0, got {arg}")
         return SpaceSpec(
             SINGLE,
             single_family=families.An(2),

@@ -112,8 +112,14 @@ def parse_vector(text: str, arithmetic: str = "rational") -> SparseVector:
         if coord <= last:
             raise ParseError(f"coordinates out of order at {coord}", line=lineno)
         last = coord
-        if value != 0:
-            pairs.append((coord, value if arithmetic == "rational" else float(value)))
+        if value == 0:
+            continue
+        if arithmetic != "rational":
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ParseError(f"value {parts[1]} is outside the float range", line=lineno) from None
+        pairs.append((coord, value))
     return SparseVector(tuple(pairs))
 
 

@@ -275,23 +275,6 @@ class TestCoverMap:
                 )
 
 
-class TestPruneFallback:
-    def test_prune_reaches_comparability(self):
-        from tsirelson.functionals import _prune_partial_blocks
-
-        blocks = [
-            t.SparseVector(((10, Fraction(1)), (11, Fraction(1)))),
-            t.SparseVector(((12, Fraction(1)), (13, Fraction(1)))),
-        ]
-        # the inner node straddles block 0 partially
-        f = t.Node(1, (t.Leaf(1, 10), t.Node(1, (t.Leaf(1, 11), t.Leaf(1, 12)))))
-        assert not t.is_comparable(f, blocks)
-        pruned = _prune_partial_blocks(GEOM_S, f, blocks)
-        assert pruned is not None
-        assert t.is_comparable(pruned, blocks)
-        assert t.validate(GEOM_S, pruned) == []
-
-
 class TestRestrictAndNegate:
     def test_restriction_stays_valid(self, rng):
         for _ in range(20):
@@ -326,6 +309,23 @@ class TestSplitXk:
             t.Node(1, (t.Leaf(1, 2), t.Leaf(1, 3))),
             t.Node(1, (t.Leaf(1, 4), t.Leaf(1, 5))),
         ]
+
+    def test_groups_end_between_blocks_only(self):
+        # without blocks the S_1 greedy cuts between 3 and 4; the block
+        # {3, 4} moves the cut to the last allowed position, after 2
+        aux = t.SpaceSpec(
+            "single",
+            single_family=t.Sn(1),
+            single_theta=Fraction(1, 2),
+            inner_ak=2,
+        )
+        f = t.Node(1, (t.Leaf(1, 2), t.Leaf(1, 3), t.Leaf(1, 4), t.Leaf(1, 5)))
+        blocks = [ones((2,)), ones((3, 4)), ones((5,))]
+        assert t.split_xk(aux, f, blocks) == [
+            t.Node(1, (t.Leaf(1, 2),)),
+            t.Node(1, (t.Leaf(1, 3), t.Leaf(1, 4), t.Leaf(1, 5))),
+        ]
+        assert t.split_xk(aux, f, [ones((2, 3)), ones((4, 5))]) == t.split_xk(aux, f)
 
     def test_already_valid_passthrough(self):
         aux = GEOM_S.with_inner_ak(2)
@@ -397,11 +397,59 @@ class TestMakeComparable:
             assert t.validate(spec, g) == []
             assert t.is_comparable(g, blocks)
             lhs = const * t.eval_functional(spec, g, v)
-            rhs = t.eval_functional(spec, f, v)
+            rhs = abs(t.eval_functional(spec, f, v))
             if spec.exact:
                 assert lhs >= rhs
             else:
                 assert float(lhs) >= float(rhs) - 1e-9
+
+    @pytest.mark.parametrize(
+        "text, blocks, value, achieved",
+        [
+            # the A_4 regrouping once cut through the block {18, 20, 21, 23},
+            # and the best comparable part lost more than the factor 4
+            (
+                "(n 1 (n 1 (n 1 (l + 5) (l - 9)) (n 1 (n 1 (l + 11) (l - 12)) (l + 16))"
+                " (n 1 (l - 18) (l + 20)) (n 1 (l + 21) (l + 23)) (l + 27))"
+                " (n 1 (l - 29) (l + 31) (l - 33) (l + 38) (l + 40)) (n 1 (l + 42) (l + 44))"
+                " (l - 45))",
+                [
+                    {5: 1}, {9: -2, 11: "7/4", 12: "1/4"}, {16: "1/3"},
+                    {18: "3/4", 20: "3/2", 21: 7, 23: "-1/2"},
+                    {27: "1/5", 29: "3/4", 31: 3, 33: 1},
+                    {38: "1/5", 40: 1, 42: "6/5", 44: "-4/5", 45: "8/5"},
+                ],
+                Fraction(331, 240),
+                Fraction(2293, 960),
+            ),
+            # f(v) < 0: the output once took 1/24, a factor 25.3 below |f(v)|,
+            # unseen by a check against the signed value
+            (
+                "(n 1 (n 1 (l - 4) (n 1 (l - 6) (n 1 (l - 10) (l - 12)))"
+                " (n 1 (l + 13) (n 1 (l - 14) (l + 16)))) (l + 19) (n 1 (l + 20) (l - 21))"
+                " (n 1 (l + 22) (l - 25) (l - 26)))",
+                [
+                    {4: "2/3", 6: "1/3"}, {10: 1}, {12: 4, 13: 2, 14: 1, 16: 7},
+                    {19: "3/5", 20: "2/3", 21: "4/3", 22: -6}, {25: "1/6", 26: -1},
+                ],
+                Fraction(-253, 240),
+                Fraction(29, 12),
+            ),
+        ],
+        ids=["regrouping-cut-a-block", "negative-value"],
+    )
+    def test_recorded_cases(self, text, blocks, value, achieved):
+        f = t.parse_functional(text)
+        blocks = [
+            t.SparseVector(tuple((c, Fraction(q)) for c, q in b.items())) for b in blocks
+        ]
+        v = sum_vectors(blocks)
+        assert t.eval_functional(TSIRELSON, f, v) == value
+        g = t.make_comparable(TSIRELSON, f, blocks)
+        assert t.validate(TSIRELSON, g) == []
+        assert t.is_comparable(g, blocks)
+        assert t.eval_functional(TSIRELSON, g, v) == achieved
+        assert 4 * achieved >= abs(value)
 
 
 def chain(first, depth, weight=1):
