@@ -26,10 +26,7 @@ _EXPORTS = {
         "parse_family",
     ),
     "functionals": (
-        "Leaf",
-        "Node",
         "eval_functional",
-        "format_functional",
         "is_comparable",
         "make_comparable",
         "parse_functional",
@@ -51,6 +48,7 @@ _EXPORTS = {
         "regularize",
         "theta",
     ),
+    "trees": ("Leaf", "Node", "format_functional"),
     "vectors": ("SparseVector", "parse_vector", "sum_vectors"),
 }
 _SUBMODULES = ("errors", "families", "functionals", "scalars", "spaces", "vectors")

@@ -19,12 +19,12 @@ from .errors import BudgetExceeded, GroundTooLarge, LengthMismatch
 from .records import Record
 from .scalars import leq, render_scalar
 
-# The suites import the norm, generator, functional, space and vector
-# modules where they use them, so that a suite loads only its own share of
-# the package (``audit sch1`` needs just ``families``).
+# The suites import the norm, generator, tree, space and vector modules
+# where they use them, so that a suite loads only its own share of the
+# package (``audit sch1`` needs just ``families``).
 if TYPE_CHECKING:
-    from .functionals import TreeFunctional
     from .spaces import SpaceSpec
+    from .trees import TreeFunctional
     from .vectors import SparseVector
 
 
@@ -498,7 +498,7 @@ def _random_group_cut(space, rng, f: TreeFunctional):
     """Random antichain cut: (gamma_n, J_n) with J_n the full child sets of
     the cut nodes, gammas the root-to-node weight products (node included).
     Nodes are visited in pre-order, each drawing at most once."""
-    from .functionals import Leaf, Node
+    from .trees import Leaf, Node
 
     if isinstance(f, Leaf):
         return []

@@ -3,7 +3,9 @@ convex combinations, equal-norm partitions, and c_0-average associates.
 
 Constructions are deterministic given the pool order and seed; every
 constructed object has a separate checker, and the checkers (not the
-construction recipes) are the normative side.
+construction recipes) are the normative side.  The norm engine and the
+functionals are imported by the functions that use them, so that the
+``scc`` and ``avg`` commands load neither.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import families
 from .audit import AuditReport, AuditRow
@@ -24,12 +26,13 @@ from .errors import (
     SupportTooLarge,
     TsirelsonError,
 )
-from .functionals import TreeFunctional, eval_functional, leaves, support
-from .norm import _Engine, admissible_sum, norm
 from .records import Record
 from .scalars import close, leq
 from .spaces import SpaceSpec, derived_params
 from .vectors import SparseVector, sum_vectors
+
+if TYPE_CHECKING:
+    from .trees import TreeFunctional
 
 
 def basis_pool(start: int = 1) -> Iterator[SparseVector]:
@@ -56,8 +59,12 @@ def estimate_equiv_const(
 
     Tests the all-ones vector, unit vectors, random sign patterns and random
     sparse rational coefficient vectors; the true constant can only be
-    larger.
+    larger.  The norm is 1-unconditional and the blocks are successive, so
+    a pattern's norm depends on its absolute values only, and each is
+    computed once.
     """
+    from .norm import norm
+
     m = len(blocks)
     if m == 0:
         raise ValueError("need at least one block")
@@ -79,13 +86,17 @@ def estimate_equiv_const(
                 tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(m))
             )
     best = 1.0
+    norms: dict = {}
     for a in patterns:
         if all(v == 0 for v in a):
             continue
-        combo = sum_vectors([blocks[i].scale(a[i]) for i in range(m) if a[i] != 0])
-        if not combo:
-            continue
-        nrm = float(norm(space, combo).value)
+        key = tuple(map(abs, a))
+        nrm = norms.get(key)
+        if nrm is None:
+            combo = sum_vectors([blocks[i].scale(a[i]) for i in range(m) if a[i] != 0])
+            if not combo:
+                continue
+            nrm = norms[key] = float(norm(space, combo).value)
         lr = SparseVector.from_pairs(enumerate(a, 1)).ellp(r)
         if nrm == 0 or lr == 0:
             continue
@@ -96,6 +107,8 @@ def estimate_equiv_const(
 def build_lr_average(space: SpaceSpec, pool: Iterable[SparseVector], r, length: int):
     """Normalized sum of the first `length` pool blocks with its measured
     equivalence constant (a lower bound)."""
+    from .norm import norm
+
     blocks = list(itertools.islice(iter(pool), length))
     if len(blocks) < length:
         raise InsufficientPool(f"pool provided {len(blocks)} of {length} blocks")
@@ -123,6 +136,8 @@ def check_lr_average_bounds(
     stay in the space's arithmetic; the bounds are floats, since j^(1/s) is
     irrational in general and C is a float estimate.
     """
+    from .norm import admissible_sum
+
     if N < (2 * M) ** r:
         raise HypothesisViolated(f"need N >= (2M)^r = {(2 * M) ** r}, got {N}")
     rows = []
@@ -365,24 +380,37 @@ def audit_tav(space: SpaceSpec, tree: AveragingTree, delta) -> AuditReport:
     [theta_1 theta^(1-j)/4, 4 theta_1^(-1) theta^(-j-1)]; node norms are
     checked against the (1-delta)^j theta^j lower bound.  Values and bounds
     stay in the space's arithmetic, so an exact space compares them exactly.
+
+    Each distinct vector is solved once, for the norm and every S_j at
+    once.  The norm is homogeneous, and an exact space computes it exactly,
+    so there the rows of y = x/||x|| are x's divided by ||x||; a float
+    space solves y itself.  The root node is x.
     """
+    from .norm import admissible_of, norm, solve
+
     x = tree.root.vector
-    y = x.scale(1 / norm(space, x).value)
+    fams = [families.Sn(j) for j in range(1, tree.depth + 1)]
+    solved = solve(space, x, fams)
+    norm_x = solved.value(0, solved.m)
+    if space.exact:
+        scale = norm_x
+    else:
+        solved, scale = solve(space, x.scale(1 / norm_x), fams), 1
     theta = space.scalar(tree.theta)
     theta1 = space.theta_for_index(1)
     rows = []
     for j in range(0, tree.depth + 1):
         if j == 0:
-            value = norm(space, y).value
+            value = solved.value(0, solved.m) / scale
         else:
-            value = admissible_sum(space, y, families.Sn(j)).value
+            value = admissible_of(solved, fams[j - 1]).value / scale
         lower = theta1 * theta ** (1 - j) / 4
         upper = 4 * theta ** (-j - 1) / theta1
         rows.append(_bounds_row(f"j={j}", value, lower, upper))
     for j in range(1, tree.depth + 1):
         bound = (1 - space.scalar(delta)) ** j * theta**j
         for i, node in enumerate(tree.level_nodes(j), start=1):
-            value = norm(space, node.vector).value
+            value = norm_x if node is tree.root else norm(space, node.vector).value
             values = {"value": value, "lower": bound}
             rows.append(AuditRow(f"node:j={j},i={i}", values, leq(bound, value)))
     params = {"delta": delta, "levels": tree.depth, "conforming": tree.conforming}
@@ -588,51 +616,12 @@ def _two_part_split(d, j: int) -> int:
 
 def interval_norm_table(space: SpaceSpec, z: SparseVector):
     """(coords, d) with d(a, b) the norm of z restricted to the support
-    positions [a, b).
+    positions [a, b): O(1) per query on a saturated support where the
+    closed form applies (``norm.solve``), else read off one filled DP."""
+    from .norm import solve
 
-    When the space is a single-S_1 space and the whole support is
-    S_1-saturated (first coordinate at least the support size), every
-    admissible partition of every interval refines to singletons, so the
-    norm collapses to max(sup-norm, theta * l1) and d is O(1) per query via
-    prefix sums and a sparse max table.  Other cases fill the interval DP.
-    """
-    coords = z.support
-    m = len(coords)
-    saturated = (
-        space.kind == "single"
-        and isinstance(space.single_family, families.Sn)
-        and space.single_family.n == 1
-        and m > 0
-        and coords[0] >= m
-    )
-    if not saturated:
-        engine = _Engine(space, z)
-        engine.fill()
-        return engine.coords, engine.value
-    theta = space.theta_for_index(1)
-    values = [abs(space.scalar(v)) for v in z.values]
-    prefix = [space.scalar(0)]
-    for v in values:
-        prefix.append(prefix[-1] + v)
-    sparse = [values]
-    k = 1
-    while (1 << k) <= m:
-        prev = sparse[-1]
-        half = 1 << (k - 1)
-        sparse.append(
-            [max(prev[i], prev[i + half]) for i in range(m - (1 << k) + 1)]
-        )
-        k += 1
-
-    def d(a: int, b: int):
-        if a >= b:
-            return prefix[0]  # zero in the space's arithmetic
-        span = b - a
-        level = span.bit_length() - 1
-        biggest = max(sparse[level][a], sparse[level][b - (1 << level)])
-        return max(biggest, theta * (prefix[b] - prefix[a]))
-
-    return coords, d
+    solved = solve(space, z)
+    return solved.coords, solved.value
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +640,9 @@ def c0_average_associate(space: SpaceSpec, f_parts: Sequence[TreeFunctional]):
     Returns the normalized sum plus the achieved constant Sum f_k(x_k) over
     the norm of the sum.
     """
+    from .functionals import eval_functional, leaves, support
+    from .norm import norm
+
     if not f_parts:
         raise ValueError("need at least one functional part")
     sups = [support(f) for f in f_parts]

@@ -79,7 +79,7 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    from .functionals import format_functional
+    from .trees import format_functional
 
     result = _norm_of(args)
     _emit(args, result.as_dict(), format_functional(result.witness))

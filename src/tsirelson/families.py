@@ -11,7 +11,8 @@ Membership is decided left to right by a pushed state: each family is
 compiled once into a transition program, and pushing an element onto the
 state of a member gives the state of the extended set, or None once that
 set is no member.  ``A_n`` counts free slots, ``S_1`` too (its first
-element e opens e slots), ``S_0`` is ``A_1`` and ``S_n`` is ``S_1[S_{n-1}]``.
+element e opens e slots), ``S_0`` is ``A_1`` and ``S_n`` is ``S_1[S_{n-1}]``,
+compiled as ``S_{n-h}[S_h]`` with h = n // 2.
 A composition ``M[N]`` keeps the M-state of the piece minima and the
 N-state of the last piece; an element extends that piece if it can, and
 otherwise opens a new piece whose minimum is pushed to the M-state.  This
@@ -29,6 +30,7 @@ tuple is a member of every family.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import NonSuccessive, ParseError, SupportTooLarge, Unbounded
@@ -130,17 +132,16 @@ def _program(family: FamilyExpr) -> tuple:
     instance.  A flat program (``outer`` None) counts free slots from
     ``start``: n for ``A_n``, 1 for ``S_0`` and -1 for ``S_1``, whose first
     element e opens e slots.  A composition starts at ``(outer start, None)``.
-    The cache is set with ``object.__setattr__``, as ``Record`` sets its
-    hash, so that the field values stay inline in the instance."""
+    ``S_n`` comes from ``_schreier``.  The cache is set with
+    ``object.__setattr__``, as ``Record`` sets its hash, so that the field
+    values stay inline in the instance."""
     prog = getattr(family, "_program", None)
     if prog is not None:
         return prog
     if isinstance(family, An):
         prog = (family.n, None, None)
-    elif isinstance(family, Sn) and family.n < 2:
-        prog = (1 if family.n == 0 else -1, None, None)
     elif isinstance(family, Sn):
-        prog = _program(Compose(Sn(1), Sn(family.n - 1)))
+        prog = _schreier(family.n)
     elif isinstance(family, Compose):
         outer, inner = _program(family.outer), _program(family.inner)
         prog = ((outer[0], None), outer, inner)
@@ -148,6 +149,20 @@ def _program(family: FamilyExpr) -> tuple:
         raise TypeError(f"not a family: {family!r}")
     object.__setattr__(family, "_program", prog)
     return prog
+
+
+@cache
+def _schreier(n: int) -> tuple:
+    """The program of ``S_n``: flat for n < 2, else that of ``S_{n-h}[S_h]``
+    with h = n // 2, since S_a[S_b] = S_{a+b} (``S_2`` is ``S_1[S_1]``).
+    Halving keeps the program, and so the recursion of compiling and of
+    pushing it, about log2(n) deep, with about 2 log2(n) distinct parts, so
+    no index meets the recursion limit.  A state still has O(n) counters,
+    so opening a piece costs time linear in n."""
+    if n < 2:
+        return (1 if n == 0 else -1, None, None)
+    outer, inner = _schreier(n - n // 2), _schreier(n // 2)
+    return ((outer[0], None), outer, inner)
 
 
 def _push(prog: tuple, state, e: int):
@@ -349,8 +364,9 @@ def _max_run(family: FamilyExpr, start: int) -> int:
 
 # Deepest family ``parse_family`` accepts: ``S_n`` counts n levels (``S_0``
 # and ``A_n`` one), and a composition the levels of both its parts.  The
-# program and the membership push recurse once per level, so a deeper
-# expression is a parse error, not a RecursionError.
+# parser, ``decompose`` and ``maximal_member`` recurse once per level, so a
+# deeper expression is a parse error, not a RecursionError.  (Membership
+# compiles ``S_n`` about log2(n) deep, ``_schreier``, and takes any index.)
 MAX_FAMILY_DEPTH = 200
 
 

@@ -3,7 +3,9 @@
 A functional is a tree whose leaves are signed unit functionals and whose
 internal nodes carry a weight index n; a node evaluates to theta_n times the
 sum of its children.  Validation checks the admissibility of every node's
-children against the space's family ladder.
+children against the space's family ladder.  The tree core (``Leaf``,
+``Node``, ``fold``, ``leaves``, ``support``, ``format_functional``) lives in
+``trees`` and is re-exported here.
 
 The surgery operations:
 
@@ -35,84 +37,22 @@ It holds all of f's points in block i exactly when their least and greatest
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from . import families
 from .errors import InvalidInput, ParseError, SurgeryFailed
 from .records import Record
 from .spaces import A_TYPE, SINGLE, SpaceSpec
+from .trees import (  # noqa: F401  (re-exported: the tree core lives in ``trees``)
+    Leaf,
+    Node,
+    TreeFunctional,
+    fold,
+    format_functional,
+    leaves,
+    support,
+)
 from .vectors import SparseVector, sum_vectors
-
-
-class Leaf(Record):
-    sign: int
-    coordinate: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("leaf sign must be +1 or -1")
-        if self.coordinate < 1:
-            raise ValueError("leaf coordinate must be a positive integer")
-
-
-class Node(Record):
-    weight_index: int
-    children: Tuple["TreeFunctional", ...]
-
-    def __post_init__(self):
-        if self.weight_index < 1:
-            raise ValueError("weight index must be >= 1")
-        if not self.children:
-            raise ValueError("nodes need at least one child")
-
-
-TreeFunctional = Union[Leaf, Node]
-
-
-def _children(g):
-    return None if isinstance(g, Leaf) else g.children
-
-
-def fold(f, leaf: Callable, node: Callable, children: Callable = _children):
-    """Post-order fold over a tree without recursion: ``leaf(l)`` at each
-    leaf, ``node(n, results)`` at each node with its children's results in
-    order; returns the root's result.  ``children(g)`` gives the children of
-    g, None at a leaf: by default those of a ``TreeFunctional``, otherwise
-    of a tree that is built as it is walked."""
-    kids = children(f)
-    if kids is None:
-        return leaf(f)
-    stack = [(f, iter(kids), [])]
-    while True:
-        g, pending, results = stack[-1]
-        for child in pending:
-            kids = children(child)
-            if kids is None:
-                results.append(leaf(child))
-            else:
-                stack.append((child, iter(kids), []))
-                break
-        else:
-            stack.pop()
-            value = node(g, results)
-            if not stack:
-                return value
-            stack[-1][2].append(value)
-
-
-def leaves(f: TreeFunctional) -> Iterator[Leaf]:
-    """The leaves of f, left to right."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Leaf):
-            yield g
-        else:
-            stack.extend(reversed(g.children))
-
-
-def support(f: TreeFunctional) -> Tuple[int, ...]:
-    return tuple(leaf.coordinate for leaf in leaves(f))
 
 
 def _rebuild(g: Node, children) -> Node:
@@ -207,18 +147,16 @@ def is_comparable(f: TreeFunctional, blocks: Sequence[SparseVector]) -> bool:
 # s-expression round trip
 
 
-def format_functional(f: TreeFunctional) -> str:
-    return fold(
-        f,
-        lambda g: f"(l {'+' if g.sign > 0 else '-'} {g.coordinate})",
-        lambda g, inner: f"(n {g.weight_index} {' '.join(inner)})",
-    )
-
-
 # Deepest nesting ``parse_functional`` accepts (a leaf alone has depth 1).
 # The parser recurses once per level, so deeper input is a parse error, not
 # a RecursionError; a norm witness on m coordinates has depth at most m.
 MAX_FUNCTIONAL_DEPTH = 200
+
+# Largest weight index ``parse_functional`` accepts.  Checking a node of
+# index n recurses only about log2(n) deep, but costs time linear in n, and
+# theta_n is an exact power whose size grows with n (ratio**n), so a larger
+# index is a parse error; a norm witness on m points uses indices up to m.
+MAX_WEIGHT_INDEX = 10_000
 
 
 def parse_functional(text: str) -> TreeFunctional:
@@ -257,6 +195,10 @@ def parse_functional(text: str) -> TreeFunctional:
                 weight = int(tokens[pos])
             except ValueError:
                 raise ParseError(f"bad weight index {tokens[pos]!r}", position=pos) from None
+            if weight > MAX_WEIGHT_INDEX:
+                raise ParseError(
+                    f"weight index {weight} exceeds {MAX_WEIGHT_INDEX}", position=pos
+                )
             pos += 1
             children = []
             while pos < len(tokens) and tokens[pos] == "(":

@@ -11,8 +11,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import families
-from .functionals import Leaf, Node, TreeFunctional
 from .spaces import A_TYPE, S_TYPE, SpaceSpec
+from .trees import Leaf, Node, TreeFunctional
 from .vectors import SparseVector
 
 

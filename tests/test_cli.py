@@ -495,17 +495,65 @@ class TestStartup:
         "argv",
         [
             ["norm", "--space", "tsirelson", "--vector", "{vector}"],
+            ["witness", "--space", "geometric-s:1/2", "--vector", "{vector}"],
             ["family", "member", "--family", "S2", "--set", "2,3,4"],
         ],
-        ids=["norm", "family-member"],
+        ids=["norm", "witness", "family-member"],
     )
     def test_norm_and_member_load_no_audit_or_dataclasses(self, argv, tmp_path):
         vector = tmp_path / "x.vec"
         vector.write_text("1\t1/2\n3\t-1/3\n")
         argv = [a.format(vector=vector) for a in argv]
         loaded = _loaded_modules(f"from tsirelson.cli import run\nassert run({argv!r}) == 0")
-        for name in ("tsirelson.audit", "dataclasses", "inspect"):
+        # the norm path reads functionals through ``trees``, not the surgery
+        for name in ("tsirelson.audit", "tsirelson.functionals", "dataclasses", "inspect"):
             assert name not in loaded
+
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (["audit", "l3", "--level", "2", "--trials", "5"], ("functionals",)),
+            (["audit", "pest", "--trials", "5"], ("functionals",)),
+            (["audit", "kriv", "--count", "1", "--r", "1"], ("functionals",)),
+            (
+                ["audit", "domination", "--space", "tsirelson", "--ys", "{vector}",
+                 "--zs", "{vector}", "--trials", "3"],
+                ("functionals",),
+            ),
+            (["audit", "tav", "--relaxed", "3"], ("functionals",)),
+            (["scc", "build", "--level", "1", "--epsilon", "3/10"], ("norm", "functionals")),
+            (["scc", "check", "--input", "{scc}"], ("norm", "functionals")),
+            (
+                ["avg", "build", "--space", "geometric-s:1/2", "--levels", "1",
+                 "--epsilon", "1/2", "--relaxed", "3", "--out", "{tree}"],
+                ("norm", "functionals"),
+            ),
+            (["avg", "check", "--space", "geometric-s:1/2", "--input", "{tree}"], ("norm", "functionals")),
+        ],
+        ids=[
+            "audit-l3", "audit-pest", "audit-kriv", "audit-domination", "audit-tav",
+            "scc-build", "scc-check", "avg-build", "avg-check",
+        ],
+    )
+    def test_commands_load_no_engine_they_do_not_run(self, argv, absent, tmp_path):
+        vector = tmp_path / "x.vec"
+        vector.write_text("1\t1/2\n3\t-1/3\n")
+        scc = tmp_path / "scc.json"
+        scc.write_text('{"j": 1, "epsilon": "1/2", "support": [4, 5, 6], '
+                       '"coefficients": ["1/3", "1/3", "1/3"]}')
+        tree = tmp_path / "tree.json"
+        if "{tree}" in argv and argv[1] == "check":
+            code = run(["avg", "build", "--space", "geometric-s:1/2", "--levels", "1",
+                        "--epsilon", "1/2", "--relaxed", "3", "--out", str(tree)])
+            assert code == 0
+        argv = [a.format(vector=vector, scc=scc, tree=tree) for a in argv]
+        loaded = _loaded_modules(
+            "import contextlib, io\nfrom tsirelson.cli import run\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert run({argv!r}) == 0"
+        )
+        assert "tsirelson.cli" in loaded
+        for name in absent:
+            assert f"tsirelson.{name}" not in loaded
 
     def test_averages_loads_audit(self):
         # the benchmark tracer wraps the audit suites because the averages

@@ -89,6 +89,32 @@ class TestMembership:
         assert families._member_memo == {}
 
 
+class TestDeepSchreier:
+    """S_n compiles as S_{n-h}[S_h] with h = n // 2, so compiling and pushing
+    it recurse about log2(n) deep, and no index hits the recursion limit."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_halved_program_matches_the_oracle(self, n):
+        # the oracle splits S_n as S_1[S_{n-1}], the definition
+        for size in range(1, 7):
+            for elems in combinations(range(1, 10), size):
+                assert t.is_member(t.Sn(n), elems) == exhaustive_member(t.Sn(n), elems), elems
+
+    @pytest.mark.parametrize("elems", [(1,), (5,), (1, 2), (2, 3), (3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7)])
+    def test_index_past_the_recursion_limit(self, elems):
+        # a set of k elements is in S_n for some n >= k exactly when it is in
+        # S_k: a minimum of 1 allows one piece at every level, and a minimum
+        # of at least 2 allows two
+        k = len(elems)
+        assert t.is_member(t.Sn(3000), elems) == t.is_member(t.Sn(k), elems)
+        assert t.is_member(t.Compose(t.Sn(5000), t.An(3)), elems) == t.is_member(
+            t.Compose(t.Sn(k), t.An(3)), elems
+        )
+        assert families.greedy_pieces(t.Sn(3000), elems) == families.greedy_pieces(
+            t.Sn(k), elems
+        )
+
+
 class TestRegularityLaws:
     FAMILIES = [t.An(n) for n in (1, 3, 5)] + [t.Sn(n) for n in (0, 1, 2, 3)]
     GROUND = 9

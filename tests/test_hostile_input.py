@@ -13,11 +13,14 @@ import pytest
 
 from tsirelson.cli import run
 from tsirelson.families import MAX_FAMILY_DEPTH
+from tsirelson.functionals import MAX_WEIGHT_INDEX
 
 from conftest import child_env
 
 HUGE = "1\t1e400\n"  # exact as a rational, past the float range
 LARGE = "1\t1e300\n"  # inside the float range
+# an auxiliary S-space with an inner A_3, for ``split``
+XK_CONFIG = "kind = S\ntheta = geometric:1/2\ninner_ak = 3\n"
 
 
 def nested_a1(depth):
@@ -45,6 +48,11 @@ REFUSED = {
         None, ["family", "decompose", "--family", "S999999999", "--set", "1,2"]
     ),
     "nested-composition": (None, ["family", "member", "--family", nested_a1(3000), "--set", "1"]),
+    "weight-index-past-bound": (
+        "5\t1\n",
+        ["comparable", "--space", "geometric-s:1/2", "--functional",
+         f"(n {MAX_WEIGHT_INDEX + 1} (l + 5))", "--blocks", "{vec}"],
+    ),
 }
 
 AT_THE_BOUND = {
@@ -62,16 +70,32 @@ AT_THE_BOUND = {
     "nested-composition-at-bound": (
         None, ["family", "member", "--family", nested_a1(MAX_FAMILY_DEPTH), "--set", "1"]
     ),
+    # S_n programs are built and walked in a loop, so a deep index is no
+    # RecursionError: these two ended in one before
+    "schreier-index-comparable": (
+        "5\t1\n",
+        ["comparable", "--space", "geometric-s:1/2", "--functional", "(n 1000 (l + 5))",
+         "--blocks", "{vec}"],
+    ),
+    "schreier-index-split": (
+        None, ["split", "--space", "{cfg}", "--functional", "(n 600 (l + 5) (l + 7))"]
+    ),
+    "weight-index-at-bound": (
+        "5\t1\n",
+        ["comparable", "--space", "geometric-s:1/2", "--functional",
+         f"(n {MAX_WEIGHT_INDEX} (l + 5))", "--blocks", "{vec}"],
+    ),
 }
 
 
 def argv_of(case, tmp_path):
     text, argv = case
-    if text is None:
-        return argv
-    vec = tmp_path / "x.vec"
-    vec.write_text(text)
-    return [str(vec) if a == "{vec}" else a for a in argv]
+    files = {"{cfg}": tmp_path / "xk.cfg"}
+    files["{cfg}"].write_text(XK_CONFIG)
+    if text is not None:
+        files["{vec}"] = tmp_path / "x.vec"
+        files["{vec}"].write_text(text)
+    return [str(files[a]) if a in files else a for a in argv]
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED))

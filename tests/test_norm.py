@@ -115,6 +115,27 @@ class TestOracle:
         with pytest.raises(SupportTooLarge):
             brute_norm(TSIRELSON, x, 2)
 
+    def test_random_spaces(self):
+        """Exact agreement on random ladders: explicit weights k/20 with a
+        random geometric tail, A- and S-type, some S-ladders with an inner
+        A_2 or A_3."""
+        rng = random.Random(1006)
+        checked = 0
+        for trial in range(200):
+            count = rng.randint(1, 5)
+            values = tuple(Fraction(rng.randint(1, 19), 20) for _ in range(count))
+            thetas = t.ExplicitSeq(values, Fraction(rng.randint(1, 9), 10))
+            kind = "A" if trial % 2 else "S"
+            inner = rng.choice((None, None, 2, 3)) if kind == "S" else None
+            spec = t.SpaceSpec(kind, thetas=thetas, inner_ak=inner)
+            # six points on one A- and one S-ladder in fifty: brute_norm
+            # takes 0.1-0.5 s there
+            m = 6 if trial % 50 < 2 else rng.randint(1, 5)
+            x = random_vector(rng, m, first=rng.randint(1, 4), gap=2)
+            assert norm(spec, x).value == brute_norm(spec, x, len(x)), (spec, x)
+            checked += 1
+        assert checked == 200
+
     def test_auxiliary_space_agreement(self, rng):
         # the inner-A_k composed ladder runs through the same engine
         aux = GEOM_S.with_inner_ak(2)
