@@ -250,7 +250,9 @@ def estimate_domination(
 
     Samples the fixed nonnegative grid (unit vectors, all-ones) plus random
     simplex and sparse-corner coefficient vectors; the estimate is the max
-    ratio and can only grow with more samples.
+    ratio and can only grow with more samples.  The coefficients are
+    nonnegative, so a pattern that repeats repeats |a|, and the norm is
+    1-unconditional: each distinct pattern's ratio is computed once.
     """
     from .norm import norm
     from .vectors import sum_vectors
@@ -270,9 +272,12 @@ def estimate_domination(
             keep = rng.sample(range(m), rng.randint(1, m))
             patterns.append(tuple(1 if i in keep else 0 for i in range(m)))
     best = 0.0
+    seen = set()
     for a in patterns:
-        if all(v == 0 for v in a):
+        key = tuple(map(abs, a))
+        if key in seen or all(v == 0 for v in a):
             continue
+        seen.add(key)
         y = sum_vectors([ys[i].scale(a[i]) for i in range(m) if a[i] != 0])
         z = sum_vectors([zs[i].scale(a[i]) for i in range(m) if a[i] != 0])
         if not y or not z:

@@ -60,8 +60,8 @@ def estimate_equiv_const(
     Tests the all-ones vector, unit vectors, random sign patterns and random
     sparse rational coefficient vectors; the true constant can only be
     larger.  The norm is 1-unconditional and the blocks are successive, so
-    a pattern's norm depends on its absolute values only, and each is
-    computed once.
+    a pattern's ratio depends on its absolute values only: each distinct
+    |pattern| is computed once.
     """
     from .norm import norm
 
@@ -86,17 +86,16 @@ def estimate_equiv_const(
                 tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(m))
             )
     best = 1.0
-    norms: dict = {}
+    seen = set()
     for a in patterns:
-        if all(v == 0 for v in a):
-            continue
         key = tuple(map(abs, a))
-        nrm = norms.get(key)
-        if nrm is None:
-            combo = sum_vectors([blocks[i].scale(a[i]) for i in range(m) if a[i] != 0])
-            if not combo:
-                continue
-            nrm = norms[key] = float(norm(space, combo).value)
+        if key in seen or all(v == 0 for v in a):
+            continue
+        seen.add(key)
+        combo = sum_vectors([blocks[i].scale(a[i]) for i in range(m) if a[i] != 0])
+        if not combo:
+            continue
+        nrm = float(norm(space, combo).value)
         lr = SparseVector.from_pairs(enumerate(a, 1)).ellp(r)
         if nrm == 0 or lr == 0:
             continue

@@ -88,6 +88,15 @@ and one node value ``p * S``, divided by q when q != 1, serve both
 arithmetics; in floats ``1.0 * best`` is ``best`` exactly, and every
 comparison and product is the one a float weight gives.
 
+Saturated supports.  When the first coordinate is at least the support
+size, every level is in its all-singletons case on every interval, and in
+an S-ladder or a single S_n space whose weights past the first stay at or
+below theta_1 the norm is ``max(||x||_inf, theta_1 ||x||_1)`` on every
+interval.  ``solve`` then answers ``norm``, ``admissible_sum`` (S_n
+families) and the interval tables from ``_Saturated`` in O(m), with the
+engine's witness, ``max_n_explored`` and cutoff certificate; everything
+else fills the engine.
+
 ``brute_norm`` is an independent oracle that enumerates tree functionals
 over the support directly.
 """
@@ -743,12 +752,12 @@ class _Saturated:
         position whose decision defers to its suffix; at the first that
         does not, a leaf there, or one node over the leaves from there on
         when theta_1 * ell beats the sup-norm candidates (strictly, as the
-        engine's first maximum)."""
-        m, absv, prefix, tail1 = self.m, self.abs_values, self._prefix, self.space.theta_tail_sup(1)
+        engine's first maximum; theta_tail_sup(1) >= theta_1, so the loop
+        always reaches n = 1 then)."""
+        m, absv, prefix = self.m, self.abs_values, self._prefix
         while i < m - 1:
             best = self.value(i + 1, m)
-            ell = prefix[m] - prefix[i]
-            if tail1 * ell > max(best, absv[i]) and self._theta * ell > max(best, absv[i]):
+            if self._theta * (prefix[m] - prefix[i]) > max(best, absv[i]):
                 return Node(1, tuple(self._leaf(t) for t in range(i, m)))
             if absv[i] >= best:
                 break
