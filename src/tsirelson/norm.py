@@ -93,9 +93,9 @@ size, every level is in its all-singletons case on every interval, and in
 an S-ladder or a single S_n space whose weights past the first stay at or
 below theta_1 the norm is ``max(||x||_inf, theta_1 ||x||_1)`` on every
 interval.  ``solve`` then answers ``norm``, ``admissible_sum`` (S_n
-families) and the interval tables from ``_Saturated`` in O(m), with the
-engine's witness, ``max_n_explored`` and cutoff certificate; everything
-else fills the engine.
+families) and the interval tables from ``saturated.Saturated`` in O(m),
+with the engine's witness, ``max_n_explored`` and cutoff certificate;
+everything else fills the engine.
 
 ``brute_norm`` is an independent oracle that enumerates tree functionals
 over the support directly.
@@ -109,10 +109,10 @@ from functools import cache
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from . import families
+from . import families, saturated
 from .errors import EmptyVector, SupportTooLarge
 from .records import Record
-from .spaces import A_TYPE, S_TYPE, SINGLE, SpaceSpec
+from .spaces import A_TYPE, SINGLE, SpaceSpec
 from .trees import Leaf, Node, TreeFunctional, fold
 from .vectors import SparseVector
 
@@ -646,135 +646,13 @@ class _Engine:
         return fold(resolve(i, j), leaf, lambda span, kids: Node(span[2][0], tuple(kids)), pieces)
 
 
-class _Saturated:
-    """The norm on a saturated support, in closed form.
-
-    A support is saturated when its first coordinate is at least its size m.
-    Every subset of it then has at most m <= min elements, so it is an
-    S_1 set and a member of every S_n (n >= 1) and of every S_n[A_k]: at
-    every level of every chain, on every interval, the all-singletons
-    partition is admissible, and the engine takes the level's value to be
-    the interval's l1 norm ell(i, j) (see Chains above).  So
-    ``D[i][j] = max(D[i+1][j], |x_i|, theta_n * ell(i, j) for the n the
-    weight loop reaches)``.  When theta_n <= theta_1 for every n >= 2
-    (``theta_tail_sup(2) <= theta_1``), the loop explores n = 1 at most and
-    stops by n = 2, so
-
-        D[i][j] = max(max |x| on [i, j), theta_1 * ell(i, j)).
-
-    In a float space the prefix sums are added left to right as the engine
-    adds them; they are nondecreasing and rounding is monotone, so a suffix
-    never reads a larger l1 norm and the identity holds bit for bit.  The
-    witness and the cutoff certificate replay the engine's decisions on the
-    column of the right end m, which need ``D[i+1][m]`` only.  A family
-    level S_n (n >= 1) is worth ell(i, j) with singleton pieces.
-    """
-
-    max_n_explored = 1
-
-    def __init__(self, space: SpaceSpec, x: SparseVector):
-        self.space = space
-        self.coords = x.support
-        self.values = x.values
-        self.m = m = len(self.coords)
-        scalar = space.scalar
-        absv = self.abs_values = tuple(abs(scalar(v)) for v in self.values)
-        prefix = [scalar(0)]
-        for v in absv:
-            prefix.append(prefix[-1] + v)
-        self._prefix = prefix
-        # the largest |x| on each suffix [i, m), and a sparse table for
-        # other intervals, built when first asked
-        suffix = list(absv)
-        for i in range(m - 2, -1, -1):
-            if suffix[i + 1] > suffix[i]:
-                suffix[i] = suffix[i + 1]
-        self._suffix = suffix
-        self._sparse = None
-        self._theta = space.theta_for_index(1)
-        self.cutoff_bound = self._cutoff()
-
-    @staticmethod
-    def applies(space: SpaceSpec, x: SparseVector, fams) -> bool:
-        """Whether the closed form gives the engine's results: a saturated
-        support, an S-ladder or a single S_n space with n >= 1 whose later
-        weights stay at or below theta_1, and S_n families only."""
-        coords = x.support
-        if not coords or coords[0] < len(coords):
-            return False
-        if not all(isinstance(f, families.Sn) and f.n >= 1 for f in fams):
-            return False
-        if space.kind == SINGLE:
-            fam = space.single_family
-            if not (isinstance(fam, families.Sn) and fam.n >= 1):
-                return False
-        elif space.kind != S_TYPE:
-            return False
-        return space.theta_tail_sup(2) <= space.theta_for_index(1)
-
-    def _cutoff(self):
-        """The root's certificate: the weight loop stops at n = 1 when the
-        tail bound does not beat the sup-norm candidates, else at n = 2 (a
-        single-family space, or a one-point support, takes the engine's
-        fallback)."""
-        space, ell1 = self.space, self._prefix[self.m]
-        tail1 = space.theta_tail_sup(1)
-        if self.m >= 2 and not tail1 * ell1 > max(self.value(1, self.m), self.abs_values[0]):
-            return tail1 * ell1
-        return space.theta_tail_sup(2) * ell1
-
-    def value(self, i: int, j: int, family: Optional[families.FamilyExpr] = None):
-        ell = self._prefix[j] - self._prefix[i]
-        if family is not None:
-            return ell
-        return max(self._biggest(i, j), self._theta * ell)
-
-    def _biggest(self, i: int, j: int):
-        """max |x| on the positions [i, j)."""
-        if j == self.m:
-            return self._suffix[i]
-        sparse = self._sparse
-        if sparse is None:
-            sparse = self._sparse = [list(self.abs_values)]
-            k = 1
-            while (1 << k) <= self.m:
-                prev, half = sparse[-1], 1 << (k - 1)
-                sparse.append([max(prev[t], prev[t + half]) for t in range(self.m - (1 << k) + 1)])
-                k += 1
-        level = (j - i).bit_length() - 1
-        return max(sparse[level][i], sparse[level][j - (1 << level)])
-
-    def pieces(self, i: int, j: int, family: families.FamilyExpr) -> List[Interval]:
-        return [(t, t + 1) for t in range(i, j)]
-
-    def witness(self, i: int, j: int) -> TreeFunctional:
-        """The engine's witness of [i, m) (j is m): from i, pass each
-        position whose decision defers to its suffix; at the first that
-        does not, a leaf there, or one node over the leaves from there on
-        when theta_1 * ell beats the sup-norm candidates (strictly, as the
-        engine's first maximum; theta_tail_sup(1) >= theta_1, so the loop
-        always reaches n = 1 then)."""
-        m, absv, prefix = self.m, self.abs_values, self._prefix
-        while i < m - 1:
-            best = self.value(i + 1, m)
-            if self._theta * (prefix[m] - prefix[i]) > max(best, absv[i]):
-                return Node(1, tuple(self._leaf(t) for t in range(i, m)))
-            if absv[i] >= best:
-                break
-            i += 1
-        return self._leaf(i)
-
-    def _leaf(self, t: int) -> Leaf:
-        return Leaf(1 if self.values[t] >= 0 else -1, self.coords[t])
-
-
 def solve(space: SpaceSpec, x: SparseVector, fams=()):
     """An object answering ``value(i, j, family)``, ``pieces(i, j,
     family)``, ``witness(0, m)``, ``max_n_explored`` and ``cutoff_bound``
     for x, for the families ``fams`` (and the norm itself): the closed form
     on a saturated support where it applies, else a filled engine."""
-    if _Saturated.applies(space, x, fams):
-        return _Saturated(space, x)
+    if saturated.applies(space, x, fams):
+        return saturated.Saturated(space, x)
     engine = _Engine(space, x)
     engine.fill()
     return engine

@@ -15,7 +15,8 @@ import pytest
 
 import tsirelson as t
 from tsirelson.averages import interval_norm_table
-from tsirelson.norm import _Engine, _Saturated, admissible_of, admissible_sum, norm, solve
+from tsirelson.norm import _Engine, admissible_of, admissible_sum, norm, solve
+from tsirelson.saturated import Saturated, applies
 
 GEOM_S = t.preset("geometric-s:1/2")
 EXPLICIT_S = t.SpaceSpec(
@@ -80,7 +81,7 @@ def cases(seed, count):
 def test_closed_form_matches_the_engine():
     checked = ties = 0
     for name, spec, x in cases(20081227, 540):
-        assert _Saturated.applies(spec, x, ())
+        assert applies(spec, x, ())
         engine, expected = engine_results(spec, x)
         result = norm(spec, x)
         got = (result.value, result.witness, result.max_n_explored, result.cutoff_bound)
@@ -132,7 +133,7 @@ def test_interval_table_matches_the_engine():
     ids=["theta2-above-theta1", "unsaturated", "a-ladder", "single-a2"],
 )
 def test_other_cases_take_the_engine(spec, x):
-    assert not _Saturated.applies(spec, x, ())
+    assert not applies(spec, x, ())
     assert isinstance(solve(spec, x), _Engine)
     _, expected = engine_results(spec, x)
     result = norm(spec, x)
@@ -150,7 +151,7 @@ def test_rising_weights_explore_past_the_first():
 def test_only_s_families_take_the_closed_form():
     rng = random.Random(8)
     x = saturated_vector(rng, GEOM_S, 6)
-    assert isinstance(solve(GEOM_S, x, (t.Sn(1), t.Sn(3))), _Saturated)
+    assert isinstance(solve(GEOM_S, x, (t.Sn(1), t.Sn(3))), Saturated)
     assert isinstance(solve(GEOM_S, x, (t.An(2),)), _Engine)
     engine, _ = engine_results(GEOM_S, x)
     assert admissible_sum(GEOM_S, x, t.An(2)) == admissible_of(engine, t.An(2))
