@@ -385,7 +385,7 @@ def audit_tav(space: SpaceSpec, tree: AveragingTree, delta) -> AuditReport:
     so there the rows of y = x/||x|| are x's divided by ||x||; a float
     space solves y itself.  The root node is x.
     """
-    from .norm import admissible_of, norm, solve
+    from .saturated import solve
 
     x = tree.root.vector
     fams = [families.Sn(j) for j in range(1, tree.depth + 1)]
@@ -395,21 +395,27 @@ def audit_tav(space: SpaceSpec, tree: AveragingTree, delta) -> AuditReport:
         scale = norm_x
     else:
         solved, scale = solve(space, x.scale(1 / norm_x), fams), 1
+    m = solved.m
     theta = space.scalar(tree.theta)
     theta1 = space.theta_for_index(1)
     rows = []
     for j in range(0, tree.depth + 1):
         if j == 0:
-            value = solved.value(0, solved.m) / scale
+            value = solved.value(0, m) / scale
         else:
-            value = admissible_of(solved, fams[j - 1]).value / scale
+            # admissible_sum's value: the best start of the first piece
+            value = max(solved.value(s, m, fams[j - 1]) for s in range(m)) / scale
         lower = theta1 * theta ** (1 - j) / 4
         upper = 4 * theta ** (-j - 1) / theta1
         rows.append(_bounds_row(f"j={j}", value, lower, upper))
     for j in range(1, tree.depth + 1):
         bound = (1 - space.scalar(delta)) ** j * theta**j
         for i, node in enumerate(tree.level_nodes(j), start=1):
-            value = norm_x if node is tree.root else norm(space, node.vector).value
+            if node is tree.root:
+                value = norm_x
+            else:
+                solved = solve(space, node.vector)
+                value = solved.value(0, solved.m)
             values = {"value": value, "lower": bound}
             rows.append(AuditRow(f"node:j={j},i={i}", values, leq(bound, value)))
     params = {"delta": delta, "levels": tree.depth, "conforming": tree.conforming}
@@ -616,8 +622,9 @@ def _two_part_split(d, j: int) -> int:
 def interval_norm_table(space: SpaceSpec, z: SparseVector):
     """(coords, d) with d(a, b) the norm of z restricted to the support
     positions [a, b): O(1) per query on a saturated support where the
-    closed form applies (``norm.solve``), else read off one filled DP."""
-    from .norm import solve
+    closed form applies (``saturated.solve``), else read off one filled
+    DP."""
+    from .saturated import solve
 
     solved = solve(space, z)
     return solved.coords, solved.value

@@ -92,10 +92,10 @@ Saturated supports.  When the first coordinate is at least the support
 size, every level is in its all-singletons case on every interval, and in
 an S-ladder or a single S_n space whose weights past the first stay at or
 below theta_1 the norm is ``max(||x||_inf, theta_1 ||x||_1)`` on every
-interval.  ``solve`` then answers ``norm``, ``admissible_sum`` (S_n
-families) and the interval tables from ``saturated.Saturated`` in O(m),
-with the engine's witness, ``max_n_explored`` and cutoff certificate;
-everything else fills the engine.
+interval.  ``saturated.solve`` then answers ``norm``, ``admissible_sum``
+(S_n families) and the interval tables from ``saturated.Saturated`` in
+O(m), with the engine's witness, ``max_n_explored`` and cutoff
+certificate; everything else fills the engine.
 
 ``brute_norm`` is an independent oracle that enumerates tree functionals
 over the support directly.
@@ -109,9 +109,10 @@ from functools import cache
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from . import families, saturated
+from . import families
 from .errors import EmptyVector, SupportTooLarge
 from .records import Record
+from .saturated import solve
 from .spaces import A_TYPE, SINGLE, SpaceSpec
 from .trees import Leaf, Node, TreeFunctional, fold
 from .vectors import SparseVector
@@ -644,18 +645,6 @@ class _Engine:
             return Leaf(1 if self.values[span[0]] >= 0 else -1, self.coords[span[0]])
 
         return fold(resolve(i, j), leaf, lambda span, kids: Node(span[2][0], tuple(kids)), pieces)
-
-
-def solve(space: SpaceSpec, x: SparseVector, fams=()):
-    """An object answering ``value(i, j, family)``, ``pieces(i, j,
-    family)``, ``witness(0, m)``, ``max_n_explored`` and ``cutoff_bound``
-    for x, for the families ``fams`` (and the norm itself): the closed form
-    on a saturated support where it applies, else a filled engine."""
-    if saturated.applies(space, x, fams):
-        return saturated.Saturated(space, x)
-    engine = _Engine(space, x)
-    engine.fill()
-    return engine
 
 
 # the largest support the ``norm`` and ``witness`` commands take; the fill

@@ -20,8 +20,10 @@ witness and the cutoff certificate replay the engine's decisions on the
 column of the right end m, which need ``D[i+1][m]`` only.  A family
 level S_n (n >= 1) is worth ell(i, j) with singleton pieces.
 
-``applies`` decides whether the closed form gives the engine's results;
-``norm.solve`` asks it before it builds an engine.
+``solve`` answers from the closed form when ``applies`` says that it gives
+the engine's results, and from a filled engine otherwise; ``norm``,
+``admissible_sum`` and ``averages`` ask it, so that a command whose vectors
+are all saturated never loads the engine.
 """
 
 from __future__ import annotations
@@ -52,9 +54,24 @@ def applies(space: SpaceSpec, x: SparseVector, fams) -> bool:
     return space.theta_tail_sup(2) <= space.theta_for_index(1)
 
 
+def solve(space: SpaceSpec, x: SparseVector, fams=()):
+    """An object answering ``value(i, j, family)``, ``pieces(i, j,
+    family)``, ``witness(i, m)``, ``max_n_explored`` and ``cutoff_bound``
+    for x, for the families ``fams`` (and the norm itself): the closed form
+    where it applies, else a filled ``norm._Engine``.  The engine's module
+    is imported only then."""
+    if applies(space, x, fams):
+        return Saturated(space, x)
+    from .norm import _Engine
+
+    engine = _Engine(space, x)
+    engine.fill()
+    return engine
+
+
 class Saturated:
-    """The closed form of one vector: the interface of ``norm._Engine``
-    that ``norm.solve`` needs, from prefix sums and suffix maxima."""
+    """The closed form of one vector: the queries of ``norm._Engine`` that
+    ``solve`` answers, from prefix sums and suffix maxima."""
 
     max_n_explored = 1
 

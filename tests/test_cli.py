@@ -561,7 +561,7 @@ class TestStartup:
         assert "tsirelson.audit" in _loaded_modules("import tsirelson.averages")
 
     def test_norm_is_the_function_after_submodule_imports(self):
-        import tsirelson.averages  # noqa: F401  (imports the submodule tsirelson.norm)
+        import tsirelson.averages  # noqa: F401  (imports submodules of the package)
         import tsirelson.norm  # noqa: F401
 
         assert t.norm is sys.modules["tsirelson.norm"].norm

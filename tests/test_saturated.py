@@ -15,8 +15,8 @@ import pytest
 
 import tsirelson as t
 from tsirelson.averages import interval_norm_table
-from tsirelson.norm import _Engine, admissible_of, admissible_sum, norm, solve
-from tsirelson.saturated import Saturated, applies
+from tsirelson.norm import _Engine, admissible_of, admissible_sum, norm
+from tsirelson.saturated import Saturated, applies, solve
 
 GEOM_S = t.preset("geometric-s:1/2")
 EXPLICIT_S = t.SpaceSpec(
