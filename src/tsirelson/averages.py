@@ -414,8 +414,8 @@ def audit_tav(space: SpaceSpec, tree: AveragingTree, delta) -> AuditReport:
             if node is tree.root:
                 value = norm_x
             else:
-                solved = solve(space, node.vector)
-                value = solved.value(0, solved.m)
+                node_solved = solve(space, node.vector)
+                value = node_solved.value(0, node_solved.m)
             values = {"value": value, "lower": bound}
             rows.append(AuditRow(f"node:j={j},i={i}", values, leq(bound, value)))
     params = {"delta": delta, "levels": tree.depth, "conforming": tree.conforming}
