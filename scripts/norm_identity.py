@@ -1,0 +1,113 @@
+"""Run the ``norm-large`` benchmark workload's norm calls through this
+checkout and a git ref, and report every difference in the results.
+
+    python scripts/norm_identity.py HEAD~1 --rounds 60 --seed 20081227
+
+The ref is exported with ``git archive`` into a temporary directory.  The
+inputs of each round are the ones ``benchmarks/workloads.py`` draws for
+``Random(f"norm-large:{seed}:{round}")``, as the benchmark worker does:
+this checkout draws them once and writes them to a file, with each
+coordinate exact (``p/q``) or as a float's ``repr``.  Each tree then runs
+``norm`` on all of them in a fresh interpreter, against its own ``src``,
+and the value and its type, the witness, ``max_n_explored`` and
+``cutoff_bound`` are compared.  Prints one line per difference and a
+summary; exits 1 when anything differs.
+"""
+
+import argparse
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+
+from cli_identity import export  # noqa: E402
+
+FIELDS = ("value", "value type", "witness", "max_n_explored", "cutoff_bound")
+
+
+def draw(rounds: int, seed: int, workdir: Path) -> list:
+    """The workload's norm calls of rounds 0 .. rounds - 1, as JSON cases."""
+    sys.path[:0] = [str(ROOT / "benchmarks"), str(ROOT / "src")]
+    import workloads
+
+    workload = workloads.NormLarge(tiny=False)
+    cases = []
+    for round_index in range(rounds):
+        rng = random.Random(f"{workload.name}:{seed}:{round_index}")
+        for op in workload.round_ops(rng, workdir):
+            space, x = op.run.__defaults__
+            cases.append({
+                "label": f"round {round_index} {op.kind}",
+                "preset": space.name,
+                "inner_ak": space.inner_ak,
+                "entries": [[c, str(v) if space.exact else repr(v)] for c, v in x.entries],
+            })
+    return cases
+
+
+def evaluate(cases_file: str) -> None:
+    """Print the results of the cases in ``cases_file`` as JSON, with the
+    package on the interpreter's path."""
+    from fractions import Fraction
+
+    import tsirelson as t
+
+    out = []
+    for case in json.loads(Path(cases_file).read_text()):
+        space = t.preset(case["preset"])
+        if case["inner_ak"]:
+            space = space.with_inner_ak(case["inner_ak"])
+        kind = Fraction if space.exact else float
+        x = t.SparseVector(tuple((c, kind(v)) for c, v in case["entries"]))
+        result = t.norm(space, x)
+        row = result.as_dict()
+        row["value type"] = type(result.value).__name__
+        out.append(row)
+    json.dump(out, sys.stdout)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("ref", nargs="?", help="the git ref to compare this checkout with")
+    p.add_argument("--rounds", type=int, default=60, help="rounds 0 .. N-1 (6 norm calls each)")
+    p.add_argument("--seed", type=int, default=20081227)
+    p.add_argument("--evaluate", metavar="CASES", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.evaluate:
+        evaluate(args.evaluate)
+        return 0
+    if args.ref is None:
+        p.error("a git ref is required")
+
+    with tempfile.TemporaryDirectory(prefix="norm-identity-") as tmp:
+        tmp = Path(tmp)
+        cases = draw(args.rounds, args.seed, tmp)
+        cases_file = tmp / "cases.json"
+        cases_file.write_text(json.dumps(cases))
+        results = []
+        for tree in (ROOT, export(args.ref, tmp)):
+            env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+            proc = subprocess.run(
+                [sys.executable, str(Path(__file__).resolve()), "--evaluate", str(cases_file)],
+                cwd=tree, env=env, capture_output=True, text=True, check=True,
+            )
+            results.append(json.loads(proc.stdout))
+    differ = 0
+    for case, ours, theirs in zip(cases, *results):
+        diffs = [name for name in FIELDS if ours[name] != theirs[name]]
+        if diffs:
+            differ += 1
+            print(f"{case['label']}: {', '.join(diffs)} differ")
+    print(f"{len(cases)} norm calls at seed {args.seed}, {differ} differ "
+          f"(this checkout against {args.ref})")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

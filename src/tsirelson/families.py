@@ -118,8 +118,18 @@ def check_finite_set(elements: Iterable[int]) -> FiniteSet:
 
 
 def is_member(family: FamilyExpr, elements: Iterable[int]) -> bool:
-    """Decide whether the set belongs to the denoted family."""
+    """Decide whether the set belongs to the denoted family.
+
+    ``S_n`` with n above the set's size k is decided as ``S_k``, whose
+    state is bounded by the input: the two admit the same sets of at most
+    k elements.  ``S_k`` is contained in ``S_n``.  Conversely, by
+    induction on n, a k-element member of ``S_n`` either is one
+    ``S_{n-1}`` piece, hence an ``S_k`` set, or splits into at least two
+    ``S_{n-1}`` pieces of fewer than k elements, hence ``S_{k-1}`` sets,
+    with ``S_1`` minima: an ``S_k`` set again."""
     elems = check_finite_set(elements)
+    if isinstance(family, Sn) and family.n > len(elems):
+        return _fold(_schreier(len(elems)), elems) is not None
     return _member(family, elems)
 
 

@@ -38,15 +38,21 @@ at most its l1 norm), and the level's value is the l1 norm.
 
 Tables.  Only a chain that is the inner chain of some level keeps its value
 table ``A[i][j]``.  The values ``C_k(a)`` exist for the current right end j
-only, computed on demand, row by row; no split point and no decision is
-kept.  The witness reads each decision off the final tables, with the tie
-rules of a first maximum over k = 1, 2, ...: all singletons when they are
-admissible, else the inner chain on the whole interval when its value
-attains the level's, else the least k whose ``C_k(a)`` does, split at the
-first e with ``A[a][e] + C_{k-1}(e)`` equal to ``C_k(a)`` at each step.  It
-rebuilds these from the column of the node's right end.  Chains are
-created when the weight loop first reaches their level, and a new table is
-backfilled over the intervals already done.
+only, one row list per level k, computed on demand; no split point and no
+decision is kept.  A read of ``C_K(i)`` needs level k only at rows
+i + K - k .. j - k, so each level k < K is extended down to that row, a
+band that only grows as i falls, and the one cell ``C_K(i)`` is computed.
+An A-ladder's weight loop computes row i of every level up to its reach in
+one pass over the row.  Every cell is the same maximum over the same
+splits, whichever order the band takes, so its value does not depend on
+the reads before it.  The witness reads each decision off the final
+tables, with the tie rules of a first maximum over k = 1, 2, ...: all
+singletons when they are admissible, else the inner chain on the whole
+interval when its value attains the level's, else the least k whose
+``C_k(a)`` does, split at the first e with ``A[a][e] + C_{k-1}(e)`` equal
+to ``C_k(a)`` at each step.  It rebuilds these from the column of the
+node's right end.  Chains are created when the weight loop first reaches
+their level, and a new table is backfilled over the intervals already done.
 
 Exclusive and full values.  Only one candidate of [i, j) reads ``D[i][j]``:
 the single piece, through k = 1 at every level of the chain.  The weight
@@ -54,6 +60,26 @@ loop therefore uses each head's *exclusive* value (that candidate left out),
 and the *full* table values at [i, j) are finalized right after ``D[i][j]``.
 The decision of ``D[i][j]`` names the level whose split (or singletons)
 gives the winning exclusive value, never the single piece itself.
+
+Pruning.  In an S-type or single-family space each head carries, for each
+left end i, its exclusive value on [i, j - 1), or the bound that stood in
+for it, to the next right end j.  A candidate of [i, j) other than the
+single piece loses its last support point j - 1 to a candidate of
+[i, j - 1) (the families are hereditary), or to the single piece
+[i, j - 1), worth ``D[i][j-1]``.  Only the innermost piece that held j - 1
+changes, and the implicit norm is a norm (Figiel-Johnson), so by the
+triangle inequality the value drops by at most |x_{j-1}|.  So
+``U = max(carried, D[i][j-1]) + |x_{j-1}|`` bounds the head's exclusive
+value on [i, j).  A candidate needs a strictly greater value than the best
+so far to win, so a head with ``p * U <= q * best`` cannot, and the loop
+skips its exclusive value and carries U instead.  The best, the decision,
+``max_n_explored`` and the point where the loop stops do not change.  An
+exact space compares the scaled integers.  A float fill adds nonnegative
+terms only, so its values are within a relative error of about
+m^2 * 2^-53 of the exact ones; a float space widens U by the factor
+1 + 2^-20, far above that error, so that U also bounds the computed value,
+and a bound carried from a bound by induction.  The A-ladders read no
+exclusive values and are not pruned.
 
 A-ladders.  In an A-type space every head ``A_n`` cuts into pieces of D
 itself, so its exclusive value on [i, j) is the l1 norm when j - i <= n and
@@ -143,6 +169,10 @@ class AdmissibleSumResult(Record):
     pieces: Tuple[Tuple[int, ...], ...]
 
 
+# the engine's work counters: C_k cells computed, weight-loop candidates
+# ruled out by a carried bound, A-ladder row fills and ``_Column.best`` reads
+STATS = ("cells", "skips", "row_fills", "reads")
+
 # decisions of D[i][j] that are not nodes
 _LEAF = 0
 _SUFFIX = 1
@@ -169,10 +199,13 @@ class _Level:
     all-singletons partition of [i, j) is admissible iff j <= fast[i].
     The value table ``F``/``FT`` (rows/columns) exists once the level is
     the inner chain of another; ``live`` is the column of the right end in
-    progress.  The base level (empty stack) has D as its table.
+    progress.  The base level (empty stack) has D as its table.  A head of
+    an S-type weight loop keeps, by left end, its exclusive values (or the
+    bounds that stood in for them, see Pruning) at the right end in
+    progress in ``carry`` and at the one before in ``carried``.
     """
 
-    __slots__ = ("budgets", "inner", "fast", "F", "FT", "live")
+    __slots__ = ("budgets", "inner", "fast", "F", "FT", "live", "carry", "carried")
 
     def __init__(self, budgets, inner, fast):
         self.budgets = budgets
@@ -180,71 +213,106 @@ class _Level:
         self.fast = fast
         self.F = self.FT = None
         self.live = None
+        self.carry = self.carried = None
 
 
 class _Column:
     """The values C_k(a) of one inner chain for one right end j.
 
-    C[1] is the chain's table column j; C[k][a] for k >= 2 is filled on
-    demand up to kdone[a].  Rows [low_row, j) are filled at least to
-    min(top_k, j - a).  ``best(i, K)`` is C_K(i), the best sum over at most
-    K groups: splitting a group never lowers a sum, so C_k(i) is
-    nondecreasing in k.  The column holds the chain's table, not the chain,
-    so that the chain's ``live`` column makes no reference cycle.
+    C[1] is the chain's table column j.  Level k >= 2 holds the band of
+    rows low[k] .. j - k of C[k], which only grows downward, and at most
+    single cells below it.  ``best(i, K)`` is C_K(i), the best sum over at
+    most K groups: splitting a group never lowers a sum, so C_k(i) is
+    nondecreasing in k.  The cell reads level k only at rows
+    i + K - k .. j - k, so ``best`` extends each level k < K that far and
+    computes that one cell.  ``fill_row(i, K)`` computes row i of every
+    level up to K.  The column holds the chain's table and the engine's
+    counters, not the chain or the engine, so that the chain's ``live``
+    column makes no reference cycle.
     """
 
-    __slots__ = ("F", "j", "C", "kdone", "top_k", "low_row")
+    __slots__ = ("F", "j", "C", "low", "row", "depth", "stats")
 
-    def __init__(self, level: _Level, j: int):
+    def __init__(self, level: _Level, j: int, stats: dict):
         self.F = level.F
         self.j = j
         self.C = [None, level.FT[j]]
-        self.kdone = [1] * j
-        self.top_k = 1
-        self.low_row = j
+        self.low = [0, 0]  # level 1 is the whole table column
+        # the last row fill: levels 2 .. depth hold the rows from row on
+        self.row, self.depth = j, 1
+        self.stats = stats
 
-    def fill_rows(self, start: int, stop: int, need: int):
-        """Fill C_k(e) for k <= min(need, j - e) on rows e = start down to
-        stop + 1; each row needs the rows right of it filled to one less."""
-        j = self.j
-        C = self.C
-        while len(C) <= need:
+    def _grow(self, K: int):
+        C, low, j = self.C, self.low, self.j
+        while len(C) <= K:
+            low.append(j - len(C) + 1)  # empty: row j - k is the top one
             C.append([None] * j)
-        kdone = self.kdone
-        F = self.F
-        for e in range(start, stop, -1):
-            k_to = j - e if j - e < need else need
-            k_from = kdone[e] + 1
-            if k_from > k_to:
-                continue
-            # row k takes splits e + 1 .. j - k + 1 of the row before it;
-            # map stops at the shorter operand
-            row = F[e][e + 1 : j]
-            prev = C[k_from - 1]
-            end = j - k_from + 2
-            for cur in C[k_from : k_to + 1]:
-                cur[e] = max(map(add, row, prev[e + 1 : end]))
-                prev = cur
-                end -= 1
-            kdone[e] = k_to
+
+    def _extend(self, k: int, stop: int):
+        """Extend level k's band down to row stop; level k - 1 must hold
+        rows stop + 1 .. j - k + 1.  Row e takes the splits e + 1 ..
+        j - k + 1 of level k - 1.  The single cells met are kept."""
+        low = self.low
+        F, cur, prev = self.F, self.C[k], self.C[k - 1]
+        end = self.j - k + 2
+        rows = range(low[k] - 1, stop - 1, -1)
+        missing = cur[stop : low[k]].count(None)
+        if missing < len(rows):
+            rows = [e for e in rows if cur[e] is None]
+        for e in rows:
+            cur[e] = max(map(add, F[e][e + 1 : end], prev[e + 1 : end]))
+        self.stats["cells"] += missing
+        low[k] = stop
 
     def best(self, i: int, K: int):
-        """C_K(i), with the rows it reads filled."""
-        need = K - 1
-        if need >= 2:
-            # rows right of i must hold C_k for k <= need
-            if need > self.top_k:
-                # rows at or right of both low_row and j - top_k are complete
-                start = min(self.j - 2, max(self.low_row, self.j - self.top_k) - 1)
-                self.top_k = need
-                self.fill_rows(start, i, need)
-                self.low_row = i + 1
-            elif i + 1 < self.low_row:
-                self.fill_rows(self.low_row - 1, i, self.top_k)
-                self.low_row = i + 1
-        if self.kdone[i] < K:
-            self.fill_rows(i, i - 1, K)
-        return self.C[K][i]
+        """C_K(i), with the bands it reads extended."""
+        C = self.C
+        if len(C) <= K:
+            self._grow(K)
+        stats = self.stats
+        stats["reads"] += 1
+        cell = C[K][i]
+        if cell is None:
+            # level k must reach row i + K - k; the levels short of that
+            # are the top ones, as a band's low + k never falls with k
+            low, top = self.low, i + K
+            k = K - 1
+            while k >= 2 and low[k] + k > top:
+                k -= 1
+            for k in range(k + 1, K):
+                self._extend(k, top - k)
+            end = self.j - K + 2
+            cell = C[K][i] = max(map(add, self.F[i][i + 1 : end], C[K - 1][i + 1 : end]))
+            stats["cells"] += 1
+            if low[K] == i + 1:
+                low[K] = i
+        return cell
+
+    def fill_row(self, i: int, K: int):
+        """C_k(i) for k = 2 .. K, K < j - i, in one pass over the row."""
+        C, low, j = self.C, self.low, self.j
+        if len(C) <= K:
+            self._grow(K)
+        # levels 2 .. K - 1 must hold rows i + 1 and above; after a row
+        # fill of row i + 1 only those past its depth can fall short
+        for k in range(self.depth + 1 if self.row == i + 1 else 2, K):
+            if low[k] > i + 1:
+                self._extend(k, i + 1)
+        # map stops at the shorter operand
+        row = self.F[i][i + 1 : j]
+        prev = C[1]
+        end = j
+        for cur in C[2 : K + 1]:
+            cur[i] = max(map(add, row, prev[i + 1 : end]))
+            prev = cur
+            end -= 1
+        low[2:K] = [i] * (K - 2)
+        if low[K] == i + 1:
+            low[K] = i
+        self.row, self.depth = i, K - 1
+        stats = self.stats
+        stats["cells"] += K - 1
+        stats["row_fills"] += 1
 
 
 class _Weights(dict):
@@ -285,6 +353,9 @@ class _Engine:
         """Scale, prefix sums, the base level and the weight table."""
         space, m = self.space, self.m
         self._weights = _Weights(space)
+        self.stats = dict.fromkeys(STATS, 0)
+        # the float margin of a carried bound (see Pruning above)
+        self._widen = 1 if space.exact else 1.0 + 2.0**-20
         if space.exact:
             values = self.abs_values
             self._scale = math.lcm(*(v.denominator for v in values)) * self._theta_lcd() ** (m - 1)
@@ -303,6 +374,7 @@ class _Engine:
         self._new_table(base)
         self._levels: Dict[tuple, _Level] = {(): base}
         self._heads: Dict[int, _Level] = {}
+        self._carriers: List[_Level] = []  # the heads of an S-type weight loop
         # the heads A_n of an A-type space (which takes no inner A_k) all
         # cut into pieces of D and differ only in their budget n; one level
         # stands for all of them in decisions
@@ -377,6 +449,9 @@ class _Engine:
         head = self._heads[n] = self._level((self.space.family_for_index(n),))
         if head is not self._base:
             self._need_table(head.inner)
+            if head.carry is None:
+                head.carry = [None] * self.m
+                self._carriers.append(head)
         return head
 
     def _need_table(self, level: _Level):
@@ -399,10 +474,10 @@ class _Engine:
         """C_k values of the inner chain `level` at right end j; the one of
         the column in progress is kept, earlier columns are recomputed."""
         if j != self._j:
-            return _Column(level, j)
+            return _Column(level, j, self.stats)
         column = level.live
         if column is None or column.j != j:
-            column = level.live = _Column(level, j)
+            column = level.live = _Column(level, j, self.stats)
         return column
 
     def _full(self, level: _Level, i: int, j: int, ell, column: _Column):
@@ -446,6 +521,8 @@ class _Engine:
         weigh = self._weigh if self._ladder is None else self._weigh_ladder
         for j in range(1, self.m + 1):
             self._j = j
+            for head in self._carriers:
+                head.carried, head.carry = head.carry, [None] * self.m
             for i in range(j - 1, -1, -1):
                 self._i = i
                 ell = prefix[j] - prefix[i]
@@ -475,6 +552,8 @@ class _Engine:
         self._exclusives = {}
         single = self.space.kind == SINGLE
         weights, heads = self._weights, self._heads
+        # the bound on [i, j) of an exclusive value carried from [i, j - 1)
+        shorter, last, widen = self._base.F[i][j - 1], self._absv[j - 1], self._widen
         n = 1
         while not (single and n > 1):
             tp, tq, p, q = weights[n]
@@ -487,8 +566,18 @@ class _Engine:
                 head = heads.get(n)
                 if head is None:
                     head = self._head(n)
+                carried = head.carried
+                if carried is not None and carried[i] is not None:
+                    bound = (max(carried[i], shorter) + last) * widen
+                    if p * bound <= q * best:
+                        # the head's value cannot beat best
+                        head.carry[i] = bound
+                        self.stats["skips"] += 1
+                        n += 1
+                        continue
                 cand = self._exclusive(head, i, j, ell)
                 if cand is not None:
+                    head.carry[i] = cand[0]
                     value = p * cand[0]
                     if q != 1:
                         value, rem = divmod(value, q)
@@ -522,13 +611,13 @@ class _Engine:
                 else:
                     if column is None:
                         column = self._column(self._base, j)
-                        column.best(i, self._reach(i, j, ell, n, best))
-                        C, kdone = column.C, column.kdone[i]
-                    if n <= kdone:
+                        filled = self._reach(i, j, ell, n, best)
+                        column.fill_row(i, filled)
+                        C = column.C
+                    if n <= filled:
                         c = C[n][i]
                     else:
                         c = column.best(i, n)
-                        kdone = n  # best filled row i up to n
                     split = c
                 value = p * c
                 if q != 1:

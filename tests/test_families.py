@@ -107,12 +107,44 @@ class TestDeepSchreier:
         # of at least 2 allows two
         k = len(elems)
         assert t.is_member(t.Sn(3000), elems) == t.is_member(t.Sn(k), elems)
+        # is_member decides S_3000 as S_k; the halved program itself too
+        assert families._member(t.Sn(3000), elems) == t.is_member(t.Sn(k), elems)
         assert t.is_member(t.Compose(t.Sn(5000), t.An(3)), elems) == t.is_member(
             t.Compose(t.Sn(k), t.An(3)), elems
         )
         assert families.greedy_pieces(t.Sn(3000), elems) == families.greedy_pieces(
             t.Sn(k), elems
         )
+
+
+class TestSchreierIndexCap:
+    """``is_member`` decides ``S_n`` on a set of k <= n elements as ``S_k``."""
+
+    def test_the_cap_keeps_every_answer(self):
+        # against the uncapped program of S_n: every F in {1..12} of at most
+        # 7 elements and every n from |F| to 8
+        cases = 0
+        for size in range(8):
+            for elems in combinations(range(1, 13), size):
+                for n in range(size, 9):
+                    assert t.is_member(t.Sn(n), elems) == families._member(t.Sn(n), elems), (n, elems)
+                    cases += 1
+        assert cases == 11_886
+
+    def test_a_large_index_builds_no_large_program(self, monkeypatch):
+        built = []
+        schreier = families._schreier
+
+        def recorded(n):
+            built.append(n)
+            return schreier(n)
+
+        monkeypatch.setattr(families, "_schreier", recorded)
+        family = t.Sn(10**6)
+        assert t.is_member(family, (2, 3))
+        assert not t.is_member(family, (1, 2))
+        assert max(built) == 2
+        assert family._program is None
 
 
 class TestRegularityLaws:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import tsirelson as t
 from tsirelson.errors import EmptyVector, SupportTooLarge
 from tsirelson.generators import random_vector
-from tsirelson.norm import _Column, _Engine, admissible_sum, brute_norm, flat_norm_table, norm
+from tsirelson.norm import _Engine, admissible_sum, brute_norm, flat_norm_table, norm
 from tsirelson.scalars import FLOAT64, close as scalar_close
 
 TSIRELSON = t.preset("tsirelson")
@@ -480,46 +480,42 @@ class TestEngineContract:
 
 
 class TestWorkCounters:
-    """Deterministic work counts of the fill, gated without timing."""
+    """Deterministic work counts of the fill, read off ``_Engine.stats`` and
+    gated without timing."""
 
-    def test_a_ladder_fills_each_interval_in_one_column_call(self, monkeypatch):
-        # every head A_n reads its C_k values off one batched fill of the
-        # interval, not one call per explored weight index (about 11k here)
-        calls = []
-        best = _Column.best
-
-        def counted(column, i, K):
-            calls.append(K)
-            return best(column, i, K)
-
-        monkeypatch.setattr(_Column, "best", counted)
+    def test_a_ladder_fills_each_interval_in_one_column_call(self):
+        # every head A_n reads its C_k values off one row fill of the
+        # interval, not one column call per explored weight index (about
+        # 11k here)
         m = 44
         engine = _Engine(SCHLUMPRECHT, _large_vector("schlumprecht", m, exact=False))
         engine.fill()
         assert engine.max_n_explored >= 30
-        assert 0 < len(calls) <= m * (m - 1) // 2
+        assert 0 < engine.stats["row_fills"] <= m * (m - 1) // 2
 
-    @pytest.mark.parametrize("label, m, fill_cap", [("schlumprecht", 44, 13_874), ("tsirelson", 40, 9_017)])
-    def test_k_steps_of_the_fill_and_of_the_witness(self, label, m, fill_cap, monkeypatch):
-        # a k-step is one C_k(e) value; the caps are the fill's counts on
-        # these inputs, and the witness re-derives its splits with at most
-        # a tenth of the fill's k-steps
-        steps = [0]
-        fill_rows = _Column.fill_rows
-
-        def counted(column, start, stop, need):
-            for e in range(start, stop, -1):
-                steps[0] += max(0, min(column.j - e, need) - column.kdone[e])
-            return fill_rows(column, start, stop, need)
-
-        monkeypatch.setattr(_Column, "fill_rows", counted)
+    @pytest.mark.parametrize("label, m, fill_cap", [("schlumprecht", 44, 13_874), ("tsirelson", 40, 6_000)])
+    def test_k_steps_of_the_fill_and_of_the_witness(self, label, m, fill_cap):
+        # a k-step is one C_k(e) cell; the witness re-derives its splits
+        # with at most a tenth of the fill's cells
         spec = _spec(label)
         engine = _Engine(spec, _large_vector(label, m, exact=spec.exact))
         engine.fill()
-        fill_steps, steps[0] = steps[0], 0
+        fill_cells = engine.stats["cells"]
         engine.witness(0, m)
-        assert 0 < fill_steps <= fill_cap
-        assert steps[0] <= fill_steps // 10
+        assert 0 < fill_cells <= fill_cap
+        assert engine.stats["cells"] - fill_cells <= fill_cells // 10
+
+    @pytest.mark.parametrize(
+        "label, m",
+        [("tsirelson", 40), ("geometric-s:1/2", 40), ("geometric-a:1/2", 64), ("schlumprecht", 44), ("tzafriri:1/2", 48)],
+    )
+    def test_carried_bounds_rule_out_s_type_candidates_only(self, label, m):
+        # an A-ladder has no exclusive values, so nothing to rule out
+        spec = _spec(label)
+        engine = _Engine(spec, _large_vector(label, m, exact=spec.exact))
+        engine.fill()
+        skips = engine.stats["skips"]
+        assert skips == 0 if spec.kind == "A" else skips > 0
 
     @pytest.mark.parametrize(
         "label",
@@ -558,6 +554,82 @@ class TestWorkCounters:
             monkeypatch.setattr(t.SpaceSpec, name, counted)
         _Engine(spec, x).fill()
         assert calls and max(calls.values()) == 1, calls
+
+
+BOUND_SPACES = ("tsirelson", "geometric-s:1/2", "geometric-s:1/2+A3", "geometric-s:2/3+A3", "geometric-s:9/10", "ellp:2")
+
+
+def _bound_specs():
+    """Each space in its own arithmetic and, when exact, in float64."""
+    for label in BOUND_SPACES:
+        spec = _spec(label)
+        yield pytest.param(spec, id=f"{label}:{spec.arithmetic}")
+        if spec.exact:
+            yield pytest.param(spec.replace(arithmetic=FLOAT64), id=f"{label}:float64")
+
+
+class TestCarriedBound:
+    """The weight loop of an S-type or single-family space rules out a head
+    whose exclusive value on [i, j) cannot beat the best so far, by a bound
+    carried from [i, j - 1): the value there (or its bound), or D[i][j-1],
+    plus |x_{j-1}|, widened in floats."""
+
+    SIZES = (4, 7, 11, 16, 23, 31, 40)
+
+    @staticmethod
+    def _results(spec, vectors):
+        out = []
+        for x in vectors:
+            engine = _Engine(spec, x)
+            engine.fill()
+            result = (
+                engine.value(0, engine.m),
+                t.format_functional(engine.witness(0, engine.m)),
+                engine.max_n_explored,
+                engine.cutoff_bound,
+            )
+            out.append((result, tuple(map(type, result)), engine.stats["skips"]))
+        return out
+
+    @pytest.mark.parametrize("spec", _bound_specs())
+    def test_bounds_hold_and_rule_out_no_winner(self, spec, monkeypatch):
+        rng = random.Random(f"bound:{spec.name}:{spec.inner_ak}:{spec.arithmetic}")
+        vectors = [
+            random_vector(rng, m, first=rng.randint(1, 3), gap=3, exact=spec.exact)
+            for m in self.SIZES
+            for _ in range(2)
+        ]
+        # (b) the results without the bound: heads that carry no values
+        # rule out nothing
+        head = _Engine._head
+
+        def carrying_nothing(engine, n):
+            level = head(engine, n)
+            engine._carriers.clear()
+            return level
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Engine, "_head", carrying_nothing)
+            plain = self._results(spec, vectors)
+        assert all(skips == 0 for _, _, skips in plain)
+
+        # (a) every exclusive value computed is at most its carried bound
+        checked = []
+        exclusive = _Engine._exclusive
+
+        def checking(engine, level, i, j, ell):
+            result = exclusive(engine, level, i, j, ell)
+            carried = level.carried
+            if result is not None and carried is not None and carried[i] is not None:
+                bound = (max(carried[i], engine._base.F[i][j - 1]) + engine._absv[j - 1]) * engine._widen
+                assert result[0] <= bound, (i, j)
+                checked.append(bound)
+            return result
+
+        monkeypatch.setattr(_Engine, "_exclusive", checking)
+        pruned = self._results(spec, vectors)
+        assert [r[:2] for r in pruned] == [r[:2] for r in plain]
+        assert checked and sum(skips for _, _, skips in pruned) > 0
 
 
 class TestNoCyclicGarbage:
