@@ -10,11 +10,15 @@ this checkout draws them once and writes them to a file, with each
 coordinate exact (``p/q``) or as a float's ``repr``.  Each tree then runs
 ``norm`` on all of them in a fresh interpreter, against its own ``src``,
 and the value and its type, the witness, ``max_n_explored`` and
-``cutoff_bound`` are compared.  Prints one line per difference and a
-summary; exits 1 when anything differs.
+``cutoff_bound`` are compared.  Prints one line per difference, a
+summary, and per preset the engine's work counters (``_Engine.stats``:
+``cells``, ``skips``, ``row_fills``) summed over the calls in each tree,
+or ``n/a`` for a tree whose engine keeps no counters.  Exits 1 when any
+result differs; the counters do not count.
 """
 
 import argparse
+import importlib
 import json
 import os
 import random
@@ -29,6 +33,7 @@ sys.path.insert(0, str(ROOT / "scripts"))
 from cli_identity import export  # noqa: E402
 
 FIELDS = ("value", "value type", "witness", "max_n_explored", "cutoff_bound")
+COUNTERS = ("cells", "skips", "row_fills")
 
 
 def draw(rounds: int, seed: int, workdir: Path) -> list:
@@ -58,6 +63,15 @@ def evaluate(cases_file: str) -> None:
 
     import tsirelson as t
 
+    # the engines each call fills, for their counters
+    engine = importlib.import_module("tsirelson.norm")._Engine
+    fill, filled = engine.fill, []
+
+    def recording(self):
+        filled.append(self)
+        return fill(self)
+
+    engine.fill = recording
     out = []
     for case in json.loads(Path(cases_file).read_text()):
         space = t.preset(case["preset"])
@@ -65,9 +79,12 @@ def evaluate(cases_file: str) -> None:
             space = space.with_inner_ak(case["inner_ak"])
         kind = Fraction if space.exact else float
         x = t.SparseVector(tuple((c, kind(v)) for c, v in case["entries"]))
+        filled.clear()
         result = t.norm(space, x)
         row = result.as_dict()
         row["value type"] = type(result.value).__name__
+        stats = [getattr(e, "stats", None) for e in filled]
+        row["stats"] = None if None in stats else {k: sum(s[k] for s in stats) for k in COUNTERS}
         out.append(row)
     json.dump(out, sys.stdout)
 
@@ -106,8 +123,20 @@ def main(argv=None) -> int:
             print(f"{case['label']}: {', '.join(diffs)} differ")
     print(f"{len(cases)} norm calls at seed {args.seed}, {differ} differ "
           f"(this checkout against {args.ref})")
+    print(f"work summed per preset ({', '.join(COUNTERS)}), this checkout | {args.ref}:")
+    kinds = [case["label"].split()[-1] for case in cases]
+    for kind in dict.fromkeys(kinds):
+        sums = [_summed(row for k, row in zip(kinds, rows) if k == kind) for rows in results]
+        print(f"  {kind}: {' | '.join(sums)}")
     return 1 if differ else 0
 
+
+def _summed(rows) -> str:
+    """The counters of one tree summed over some calls, or n/a."""
+    stats = [row["stats"] for row in rows]
+    if None in stats:
+        return "n/a"
+    return ", ".join(f"{k} {sum(s[k] for s in stats)}" for k in COUNTERS)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -61,35 +61,44 @@ and the *full* table values at [i, j) are finalized right after ``D[i][j]``.
 The decision of ``D[i][j]`` names the level whose split (or singletons)
 gives the winning exclusive value, never the single piece itself.
 
-Pruning.  In an S-type or single-family space each head carries, for each
-left end i, its exclusive value on [i, j - 1), or the bound that stood in
-for it, to the next right end j.  A candidate of [i, j) other than the
-single piece loses its last support point j - 1 to a candidate of
-[i, j - 1) (the families are hereditary), or to the single piece
-[i, j - 1), worth ``D[i][j-1]``.  Only the innermost piece that held j - 1
-changes, and the implicit norm is a norm (Figiel-Johnson), so by the
-triangle inequality the value drops by at most |x_{j-1}|.  So
-``U = max(carried, D[i][j-1]) + |x_{j-1}|`` bounds the head's exclusive
-value on [i, j).  A candidate needs a strictly greater value than the best
-so far to win, so a head with ``p * U <= q * best`` cannot, and the loop
-skips its exclusive value and carries U instead.  The best, the decision,
+Pruning.  Each weight loop carries, for each left end i, a value of each
+head on [i, j - 1), or the bound that stood in for it, to the next right
+end j: in an S-type or single-family space the head's exclusive value, in
+an A-ladder the cell ``C_n(i)`` of the base column at j - 1.  A candidate
+of [i, j) other than the single piece loses its last support point j - 1
+to a candidate of [i, j - 1) (the families are hereditary): the single
+piece [i, j - 1), or one with a group fewer, or one with as many groups.
+Only the innermost piece that held j - 1 changes, and the implicit norm is
+a norm (Figiel-Johnson), so by the triangle inequality the value drops by
+at most |x_{j-1}|.  The carried value sums two or more pieces of
+[i, j - 1), so by the same inequality it is at least ``D[i][j-1]``, and
+``C_k(i)`` is nondecreasing in k; so ``U = carried + |x_{j-1}|`` bounds the
+head's value on [i, j).  A candidate needs a strictly greater value than
+the best so far to win, so a head with ``p * U <= q * best`` cannot, and
+the loop skips its value and carries U instead.  The best, the decision,
 ``max_n_explored`` and the point where the loop stops do not change.  An
 exact space compares the scaled integers.  A float fill adds nonnegative
 terms only, so its values are within a relative error of about
 m^2 * 2^-53 of the exact ones; a float space widens U by the factor
 1 + 2^-20, far above that error, so that U also bounds the computed value,
-and a bound carried from a bound by induction.  The A-ladders read no
-exclusive values and are not pruned.
+and a bound carried from a bound by induction.  An A-ladder tests its
+cells only until the interval's row fill, and not where [i, j - 1) has n
+points or fewer: there U would be the l1 norm, which the explore test has
+already found above the best.  It tests the winner of [i, j - 1) first, and
+if that one's bound beats the best it fills the row without testing the
+others.  A cell it skipped is computed when a later read needs it.
 
 A-ladders.  In an A-type space every head ``A_n`` cuts into pieces of D
 itself, so its exclusive value on [i, j) is the l1 norm when j - i <= n and
 otherwise ``C_n(i)``.  Such a space has a weight loop of its own
 (``_weigh_ladder``), with the n order, the tests and the first-maximum rule
-of the general one but no chain level and no exclusive values.  It fills the
-base column in one call per interval, up to the last n whose tail bound
-beats a lower bound of ``D[i][j]``: its best so far (at least ``D[i+1][j]``)
-or ``D[i][j-1]``, whichever is larger.  It reads each explored n off that
-fill, and fills further only if its own best is still below the bound there.
+of the general one but no chain level and no exclusive values.  Unless the
+carried bounds rule out every ``C_n(i)`` it would read, it fills row i of
+the base column in one call per interval, up to the last n whose tail
+bound beats a lower bound of ``D[i][j]``: its best so far (at least
+``D[i+1][j]``) or ``D[i][j-1]``, whichever is larger.  It reads each
+explored n off that fill, and fills further only if its own best is still
+below the bound there.
 
 Arithmetic.  The engine converts each coordinate of x once, on entry, to
 the space's arithmetic (``SpaceSpec.scalar``): a rational vector in a float
@@ -202,7 +211,9 @@ class _Level:
     progress.  The base level (empty stack) has D as its table.  A head of
     an S-type weight loop keeps, by left end, its exclusive values (or the
     bounds that stood in for them, see Pruning) at the right end in
-    progress in ``carry`` and at the one before in ``carried``.
+    progress in ``carry`` and at the one before in ``carried``; the level
+    of an A-ladder keeps the base column of the right end before in
+    ``carried``.
     """
 
     __slots__ = ("budgets", "inner", "fast", "F", "FT", "live", "carry", "carried")
@@ -226,17 +237,20 @@ class _Column:
     nondecreasing in k.  The cell reads level k only at rows
     i + K - k .. j - k, so ``best`` extends each level k < K that far and
     computes that one cell.  ``fill_row(i, K)`` computes row i of every
-    level up to K.  The column holds the chain's table and the engine's
-    counters, not the chain or the engine, so that the chain's ``live``
-    column makes no reference cycle.
+    level up to K.  ``U[k]``, made at the first skip in level k, holds the
+    bounds that stood in for the cells an A-ladder skipped (see Pruning).
+    The column holds the chain's table and the engine's counters, not the
+    chain or the engine, so that the chain's ``live`` column makes no
+    reference cycle.
     """
 
-    __slots__ = ("F", "j", "C", "low", "row", "depth", "stats")
+    __slots__ = ("F", "j", "C", "U", "low", "row", "depth", "stats")
 
     def __init__(self, level: _Level, j: int, stats: dict):
         self.F = level.F
         self.j = j
         self.C = [None, level.FT[j]]
+        self.U = [None] * j
         self.low = [0, 0]  # level 1 is the whole table column
         # the last row fill: levels 2 .. depth hold the rows from row on
         self.row, self.depth = j, 1
@@ -382,6 +396,7 @@ class _Engine:
         self._tables: List[_Level] = []
         self._decisions = [[None] * (m + 1) for _ in range(m)]
         self._i, self._j = -1, 0  # the interval in progress
+        self._top = 2  # the reach of the last A-ladder row fill
 
     def _theta_lcd(self) -> int:
         """Common denominator of theta_n over the weight indices that can be
@@ -516,13 +531,16 @@ class _Engine:
     def fill(self):
         self._setup()
         absv, prefix = self._absv, self._prefix
-        D, DT = self._base.F, self._base.FT
         decisions = self._decisions
-        weigh = self._weigh if self._ladder is None else self._weigh_ladder
+        base, ladder = self._base, self._ladder
+        D, DT = base.F, base.FT
+        weigh = self._weigh if ladder is None else self._weigh_ladder
         for j in range(1, self.m + 1):
             self._j = j
             for head in self._carriers:
                 head.carried, head.carry = head.carry, [None] * self.m
+            if ladder is not None:
+                ladder.carried, base.live = base.live, _Column(base, j, self.stats)
             for i in range(j - 1, -1, -1):
                 self._i = i
                 ell = prefix[j] - prefix[i]
@@ -553,7 +571,7 @@ class _Engine:
         single = self.space.kind == SINGLE
         weights, heads = self._weights, self._heads
         # the bound on [i, j) of an exclusive value carried from [i, j - 1)
-        shorter, last, widen = self._base.F[i][j - 1], self._absv[j - 1], self._widen
+        last, widen = self._absv[j - 1], self._widen
         n = 1
         while not (single and n > 1):
             tp, tq, p, q = weights[n]
@@ -568,7 +586,7 @@ class _Engine:
                     head = self._head(n)
                 carried = head.carried
                 if carried is not None and carried[i] is not None:
-                    bound = (max(carried[i], shorter) + last) * widen
+                    bound = (carried[i] + last) * widen
                     if p * bound <= q * best:
                         # the head's value cannot beat best
                         head.carry[i] = bound
@@ -591,11 +609,14 @@ class _Engine:
 
     def _weigh_ladder(self, i: int, j: int, ell, best, decision):
         """``_weigh`` in an A-type space: the exclusive value of A_n is ell
-        when j - i <= n, else C_n(i), read off one fill of the base column."""
+        when j - i <= n, else C_n(i), read off one row fill of the base
+        column or ruled out by the bound carried from C_n(i) at j - 1."""
         weights = self._weights
         ladder = self._ladder
+        column = self._base.live
         length = j - i
-        column = None
+        filled = 0  # the reach of the row fill, once there is one
+        hopeless = None  # whether a skip cannot spare the fill
         explored = 0
         n = 2
         while True:
@@ -609,8 +630,31 @@ class _Engine:
                     c = ell
                     split = None
                 else:
-                    if column is None:
-                        column = self._column(self._base, j)
+                    if not filled:
+                        last, widen = self._absv[j - 1], self._widen
+                        if hopeless is None:
+                            # the winner of [i, j - 1) is the likeliest to
+                            # beat its bound: if it does, the fill is needed
+                            won = self._decisions[i][j - 1]
+                            hopeless = isinstance(won, tuple) and won[0] > n and won[2] is not None
+                            if hopeless:
+                                _, _, pw, qw = weights[won[0]]
+                                hopeless = pw * (won[2] + last) * widen > qw * best
+                        if not hopeless and n < length - 1:
+                            # C_n(i) at j - 1, or the bound that stood in for it
+                            prev = ladder.carried
+                            carried = prev.C[n][i] if n < len(prev.C) else None
+                            if carried is None and prev.U[n] is not None:
+                                carried = prev.U[n][i]
+                            if carried is not None:
+                                bound = (carried + last) * widen
+                                if p * bound <= q * best:
+                                    if column.U[n] is None:
+                                        column.U[n] = [None] * j
+                                    column.U[n][i] = bound
+                                    self.stats["skips"] += 1
+                                    n += 1
+                                    continue
                         filled = self._reach(i, j, ell, n, best)
                         column.fill_row(i, filled)
                         C = column.C
@@ -638,17 +682,28 @@ class _Engine:
         """The last weight index from n on, below j - i, whose tail bound
         beats max(best, D[i][j-1]), a lower bound of D[i][j]: the weight
         loop passes it only while its own best stays below that bound.  The
-        tails are nonincreasing, but a linear scan beats a bisection: the
-        scan stops after a few indices, and a bisection computes tail
-        bounds far beyond them."""
-        lower = max(best, self._base.F[i][j - 1])
+        tails are nonincreasing, so a scan from the last reach, down while
+        the bound fails and then up while it holds, finds it in a few
+        steps."""
+        lower = self._base.F[i][j - 1]
+        if best > lower:
+            lower = best
         weights = self._weights
-        top = n
-        while top < j - i - 1:
+        cap = j - i - 1
+        top = self._top if self._top < cap else cap
+        if top < n:
+            top = n
+        while top > n:
+            tp, tq, _, _ = weights[top]
+            if tp * ell > tq * lower:
+                break
+            top -= 1
+        while top < cap:
             tp, tq, _, _ = weights[top + 1]
             if not tp * ell > tq * lower:
                 break
             top += 1
+        self._top = top
         return top
 
     # -- results ---------------------------------------------------------------

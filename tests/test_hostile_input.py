@@ -3,13 +3,21 @@
 Each case is one CLI invocation that once raised out of ``cli.run`` (an
 overflow, a zero division, a type error or a recursion error), next to
 inputs at the documented bounds that still succeed.  Every case is small:
-a refusal comes before any work, and the bound cases are cheap.
+a refusal comes before any work, and the bound cases are cheap.  A
+property test then feeds generated vector files, family strings and space
+configuration files through ``cli.run``.
 """
 
+import contextlib
+import io
+import itertools
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsirelson.cli import run
 from tsirelson.families import MAX_FAMILY_DEPTH
@@ -130,3 +138,119 @@ def test_no_traceback_from_a_process(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and "line 1" in proc.stderr
+
+
+# -- generated input ---------------------------------------------------------
+
+MAX_COORDS = 12
+# numbers as the parsers meet them: integers, fractions, float reprs and
+# strings that are no number or none in range
+NUMBERS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.integers(-(10**30), 10**30).map(str),
+    st.fractions(max_denominator=50).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["1e400", "-1e-400", "1/0", "0/0", "nan", "inf", "", "x", "1/2/3", "--1"]),
+)
+VALUES = st.one_of(st.fractions(max_denominator=50).map(str), st.floats(-1e6, 1e6).map(repr))
+# ascending coordinates from a small or a huge first one, and rows of junk
+ORDERED_VECTORS = st.builds(
+    lambda first, gaps, values: "".join(
+        f"{c}\t{v}\n" for c, v in zip(itertools.accumulate([first] + gaps), values)
+    ),
+    st.one_of(st.integers(1, 40), st.integers(10**12, 10**30)),
+    st.lists(st.integers(1, 3), max_size=MAX_COORDS - 1),
+    st.lists(VALUES, min_size=MAX_COORDS, max_size=MAX_COORDS),
+)
+JUNK_VECTORS = st.lists(
+    st.tuples(NUMBERS, NUMBERS, st.sampled_from(["\t", " ", ",", "\t#\t"])), max_size=MAX_COORDS
+).map(lambda rows: "".join(f"{c}{sep}{v}\n" for c, v, sep in rows))
+VECTOR_FILES = st.one_of(ORDERED_VECTORS, ORDERED_VECTORS, JUNK_VECTORS)
+
+VALID_FAMILIES = st.recursive(
+    st.one_of(st.builds("A{}".format, st.integers(1, 12)), st.builds("S{}".format, st.integers(0, 12))),
+    lambda inner: st.builds("{}[{}]".format, inner, inner),
+    max_leaves=3,
+)
+FAMILIES = st.one_of(
+    VALID_FAMILIES,
+    VALID_FAMILIES,
+    st.builds("{}{}".format, st.sampled_from(["A", "S", "B", ""]), st.integers(10**6, 10**12)),
+    st.text(alphabet="AS[]0123456789 ,-", max_size=12),
+)
+SETS = st.one_of(
+    st.lists(st.integers(1, 60), max_size=MAX_COORDS, unique=True).map(sorted),
+    st.lists(st.one_of(st.integers(-2, 40), st.integers(10**9, 10**18)), max_size=MAX_COORDS),
+).map(lambda elems: ",".join(map(str, elems)))
+
+# weights: a generated ratio below 1 is at most 49/50; ratios closer to 1
+# run for minutes on a few points until ROADMAP item 4's work budget
+# refuses them, so they are not generated here
+RATIOS = st.fractions(min_value=0, max_value=1, max_denominator=50).map(str)
+WEIGHTS = st.one_of(
+    RATIOS,
+    RATIOS,
+    st.sampled_from(["0", "1", "2", "-1/2", "1/0", "1e400", "nan", "x", ""]),
+)
+THETA_LINES = st.one_of(
+    st.builds("theta = geometric:{}".format, WEIGHTS),
+    st.builds("theta = powerlaw:{}".format, NUMBERS),
+    st.builds("theta = scaledpowerlaw:{},{}".format, WEIGHTS, NUMBERS),
+    st.just("theta = logreciprocal"),
+    st.builds("theta = {}".format, st.text(max_size=8)),
+)
+CONFIG_LINES = st.one_of(
+    st.builds("kind = {}".format, st.sampled_from(["A", "S", "single", "B", ""])),
+    THETA_LINES,
+    st.builds("inner_ak = {}".format, NUMBERS),
+    st.builds("arithmetic = {}".format, st.sampled_from(["rational", "float64", "exact"])),
+    st.builds("single_family = {}".format, FAMILIES),
+    st.builds("single_theta = {}".format, WEIGHTS),
+    st.text(alphabet="=# kindthea", max_size=10),
+)
+CONFIG_FILES = st.one_of(
+    st.builds(
+        lambda kind, theta, extra: "\n".join([f"kind = {kind}", theta] + extra),
+        st.sampled_from("AS"),
+        THETA_LINES,
+        st.lists(CONFIG_LINES, max_size=2),
+    ),
+    st.builds(
+        "kind = single\nsingle_family = {}\nsingle_theta = {}".format, VALID_FAMILIES, WEIGHTS
+    ),
+    st.lists(CONFIG_LINES, max_size=6).map("\n".join),
+)
+SPACES = st.one_of(
+    st.sampled_from(["tsirelson", "schlumprecht", "tzafriri:1/2", "geometric-s:1/2",
+                     "geometric-a:1/2", "ellp:2", "nope"]),
+    st.just("{cfg}"),
+    st.builds("geometric-s:{}".format, WEIGHTS),
+)
+ARITHMETIC = st.sampled_from([[], ["--arithmetic", "rational"], ["--arithmetic", "float64"]])
+
+
+@st.composite
+def invocations(draw):
+    """(argv with {vec} and {cfg} placeholders, vector file text, space
+    configuration text)."""
+    command = draw(st.sampled_from(["norm", "witness", "member", "decompose"]))
+    if command in ("norm", "witness"):
+        argv = draw(ARITHMETIC) + [command, "--space", draw(SPACES), "--vector", "{vec}"]
+    else:
+        argv = ["family", command, "--family", draw(FAMILIES), "--set", draw(SETS)]
+    return argv, draw(VECTOR_FILES), draw(CONFIG_FILES)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(invocations())
+def test_generated_input_ends_with_an_exit_code(invocation):
+    argv, vector_text, config_text = invocation
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory(prefix="hostile-") as tmp:
+        files = {"{vec}": Path(tmp) / "x.vec", "{cfg}": Path(tmp) / "space.cfg"}
+        files["{vec}"].write_text(vector_text)
+        files["{cfg}"].write_text(config_text)
+        argv = [str(files[a]) if a in files else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = run(argv)
+    assert code in (0, 1, 2), (argv, vector_text, config_text, out.getvalue())

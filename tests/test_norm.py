@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 import tsirelson as t
 from tsirelson.errors import EmptyVector, SupportTooLarge
 from tsirelson.generators import random_vector
-from tsirelson.norm import _Engine, admissible_sum, brute_norm, flat_norm_table, norm
+from tsirelson.norm import STATS, _Column, _Engine, admissible_sum, brute_norm, flat_norm_table, norm
 from tsirelson.scalars import FLOAT64, close as scalar_close
+
+from test_norm_golden import golden_spaces
 
 TSIRELSON = t.preset("tsirelson")
 GEOM_S = t.preset("geometric-s:1/2")
@@ -510,12 +512,21 @@ class TestWorkCounters:
         [("tsirelson", 40), ("geometric-s:1/2", 40), ("geometric-a:1/2", 64), ("schlumprecht", 44), ("tzafriri:1/2", 48)],
     )
     def test_carried_bounds_rule_out_s_type_candidates_only(self, label, m):
-        # an A-ladder has no exclusive values, so nothing to rule out
+        # the S-type heads and the A-ladder heads alike: an A-ladder skips
+        # C_n(i) cells, and fills no row whose every cell it skips; caps on
+        # the A-ladders' C_k cells and row fills
+        cell_cap, fill_cap = {
+            "geometric-a:1/2": (1_000, 200),
+            "schlumprecht": (13_874, None),
+            "tzafriri:1/2": (12_000, None),
+        }.get(label, (None, None))
         spec = _spec(label)
         engine = _Engine(spec, _large_vector(label, m, exact=spec.exact))
         engine.fill()
-        skips = engine.stats["skips"]
-        assert skips == 0 if spec.kind == "A" else skips > 0
+        stats = engine.stats
+        assert stats["skips"] > 0
+        assert cell_cap is None or stats["cells"] <= cell_cap
+        assert fill_cap is None or stats["row_fills"] <= fill_cap
 
     @pytest.mark.parametrize(
         "label",
@@ -557,6 +568,7 @@ class TestWorkCounters:
 
 
 BOUND_SPACES = ("tsirelson", "geometric-s:1/2", "geometric-s:1/2+A3", "geometric-s:2/3+A3", "geometric-s:9/10", "ellp:2")
+LADDER_SPACES = ("geometric-a:1/2", "schlumprecht", "tzafriri:1/2", "explicit-a")
 
 
 def _bound_specs():
@@ -568,27 +580,50 @@ def _bound_specs():
             yield pytest.param(spec.replace(arithmetic=FLOAT64), id=f"{label}:float64")
 
 
+def _ladder_specs():
+    """The A-ladders of the golden fixture in their own arithmetic, and
+    geometric-a:1/2 in float64."""
+    spaces = golden_spaces()
+    for label in LADDER_SPACES:
+        yield pytest.param(spaces[label], id=f"{label}:{spaces[label].arithmetic}")
+    yield pytest.param(spaces["geometric-a:1/2"].replace(arithmetic=FLOAT64), id="geometric-a:1/2:float64")
+
+
+def _cell(column, n, i):
+    """C_n(i) of the column if computed, else the bound that stood in for
+    it, else None."""
+    if n < len(column.C) and column.C[n][i] is not None:
+        return column.C[n][i]
+    return None if column.U[n] is None else column.U[n][i]
+
+
 class TestCarriedBound:
-    """The weight loop of an S-type or single-family space rules out a head
-    whose exclusive value on [i, j) cannot beat the best so far, by a bound
-    carried from [i, j - 1): the value there (or its bound), or D[i][j-1],
-    plus |x_{j-1}|, widened in floats."""
+    """The weight loops rule out a candidate on [i, j) that cannot beat the
+    best so far by a bound carried from [i, j - 1): the head's exclusive
+    value there (in an S-type or single-family space) or C_n(i) (in an
+    A-ladder), or the bound that stood in for it, plus |x_{j-1}|, widened
+    in floats."""
 
     SIZES = (4, 7, 11, 16, 23, 31, 40)
+    LADDER_SIZES = (4, 9, 17, 30, 45, 64)
 
     @staticmethod
-    def _results(spec, vectors):
+    def _result(engine):
+        result = (
+            engine.value(0, engine.m),
+            t.format_functional(engine.witness(0, engine.m)),
+            engine.max_n_explored,
+            engine.cutoff_bound,
+        )
+        return result, tuple(map(type, result)), engine.stats["skips"]
+
+    @classmethod
+    def _results(cls, spec, vectors):
         out = []
         for x in vectors:
             engine = _Engine(spec, x)
             engine.fill()
-            result = (
-                engine.value(0, engine.m),
-                t.format_functional(engine.witness(0, engine.m)),
-                engine.max_n_explored,
-                engine.cutoff_bound,
-            )
-            out.append((result, tuple(map(type, result)), engine.stats["skips"]))
+            out.append(cls._result(engine))
         return out
 
     @pytest.mark.parametrize("spec", _bound_specs())
@@ -613,7 +648,9 @@ class TestCarriedBound:
             plain = self._results(spec, vectors)
         assert all(skips == 0 for _, _, skips in plain)
 
-        # (a) every exclusive value computed is at most its carried bound
+        # (a) every exclusive value computed is at most its carried bound,
+        # and an exact carried value is at least D[i][j-1]: a head carries
+        # a sum over two or more pieces (triangle inequality)
         checked = []
         exclusive = _Engine._exclusive
 
@@ -621,7 +658,8 @@ class TestCarriedBound:
             result = exclusive(engine, level, i, j, ell)
             carried = level.carried
             if result is not None and carried is not None and carried[i] is not None:
-                bound = (max(carried[i], engine._base.F[i][j - 1]) + engine._absv[j - 1]) * engine._widen
+                assert not spec.exact or carried[i] >= engine._base.F[i][j - 1], (i, j)
+                bound = (carried[i] + engine._absv[j - 1]) * engine._widen
                 assert result[0] <= bound, (i, j)
                 checked.append(bound)
             return result
@@ -630,6 +668,65 @@ class TestCarriedBound:
         pruned = self._results(spec, vectors)
         assert [r[:2] for r in pruned] == [r[:2] for r in plain]
         assert checked and sum(skips for _, _, skips in pruned) > 0
+
+    @pytest.mark.parametrize("spec", _ladder_specs())
+    def test_ladder_bounds_hold_and_rule_out_no_winner(self, spec, monkeypatch):
+        rng = random.Random(f"ladder-bound:{spec.name}:{spec.arithmetic}")
+        vectors = [
+            random_vector(rng, m, first=rng.randint(1, 3), gap=3, exact=spec.exact)
+            for m in self.LADDER_SIZES
+            for _ in range(2)
+        ]
+        weigh = _Engine._weigh_ladder
+
+        # (b) the results without the bound: a previous column with no
+        # cells and no bounds carries nothing
+        def carrying_nothing(engine, i, j, *args):
+            engine._ladder.carried = _Column(engine._base, j - 1, engine.stats)
+            return weigh(engine, i, j, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Engine, "_weigh_ladder", carrying_nothing)
+            plain = self._results(spec, vectors)
+        assert all(skips == 0 for _, _, skips in plain)
+
+        # (a) every C_n(i) at j the engine computes or skips is at most the
+        # bound carried for it from j - 1, and an exact carried value is at
+        # least D[i][j-1]; a skipped cell is computed afresh to check it
+        columns = {}
+
+        def recording(engine, i, j, *args):
+            columns[j] = engine._base.live
+            return weigh(engine, i, j, *args)
+
+        monkeypatch.setattr(_Engine, "_weigh_ladder", recording)
+        pruned, checked, skipped = [], 0, 0
+        for x in vectors:
+            columns.clear()
+            engine = _Engine(spec, x)
+            engine.fill()
+            pruned.append(self._result(engine))
+            D, absv, widen = engine._base.F, engine._absv, engine._widen
+            for j, column in columns.items():
+                prev = columns.get(j - 1)
+                if prev is None:
+                    continue
+                fresh = _Column(engine._base, j, dict.fromkeys(STATS, 0))
+                for n in range(2, j - 1):
+                    for i in range(j - 1 - n):
+                        carried = _cell(prev, n, i)
+                        value = _cell(column, n, i)
+                        if carried is None or value is None:
+                            continue
+                        if n >= len(column.C) or column.C[n][i] is None:
+                            value = fresh.best(i, n)
+                            skipped += 1
+                        assert not spec.exact or carried >= D[i][j - 1], (n, i, j)
+                        assert value <= (carried + absv[j - 1]) * widen, (n, i, j)
+                        checked += 1
+        assert [r[:2] for r in pruned] == [r[:2] for r in plain]
+        assert skipped and checked > skipped
+        assert sum(skips for _, _, skips in pruned) > 0
 
 
 class TestNoCyclicGarbage:
