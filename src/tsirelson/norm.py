@@ -58,8 +58,10 @@ Exclusive and full values.  Only one candidate of [i, j) reads ``D[i][j]``:
 the single piece, through k = 1 at every level of the chain.  The weight
 loop therefore uses each head's *exclusive* value (that candidate left out),
 and the *full* table values at [i, j) are finalized right after ``D[i][j]``.
-The decision of ``D[i][j]`` names the level whose split (or singletons)
-gives the winning exclusive value, never the single piece itself.
+The decision of ``D[i][j]`` is (n, chain, split): the weight index of the
+winning exclusive value, never the single piece itself, and how its node
+cuts [i, j): into singletons (split None) or into the groups of ``chain``
+whose C_k sum is split (``_split``).  An A-ladder's chain is the base.
 
 Pruning.  Each weight loop carries, for each left end i, a value of each
 head on [i, j - 1), or the bound that stood in for it, to the next right
@@ -92,7 +94,8 @@ A-ladders.  In an A-type space every head ``A_n`` cuts into pieces of D
 itself, so its exclusive value on [i, j) is the l1 norm when j - i <= n and
 otherwise ``C_n(i)``.  Such a space has a weight loop of its own
 (``_weigh_ladder``), with the n order, the tests and the first-maximum rule
-of the general one but no chain level and no exclusive values.  Unless the
+of the general one but no chain level and no exclusive values; it keeps
+the base column of the right end before for its carried bounds.  Unless the
 carried bounds rule out every ``C_n(i)`` it would read, it fills row i of
 the base column in one call per interval, up to the last n whose tail
 bound beats a lower bound of ``D[i][j]``: its best so far (at least
@@ -121,7 +124,12 @@ theta_n = p/q and its tail sup tp/tq, as integers in an exact space and
 with q = tq = 1.0 in a float space.  So one test ``p * ell > q * best``
 and one node value ``p * S``, divided by q when q != 1, serve both
 arithmetics; in floats ``1.0 * best`` is ``best`` exactly, and every
-comparison and product is the one a float weight gives.
+comparison and product is the one a float weight gives.  The table alone
+knows where the weights end: past a zero tail sup (a single-family space
+from n = 2 on) it gives zero weights.  Both loops run until the first n
+whose tail bound fails, and there record ``max_n_explored`` and, at the
+root [0, m), the certificate ``tail_n * ||x||_1``; a one-point support,
+whose root no loop reaches, takes the certificate of n = 2.
 
 Saturated supports.  When the first coordinate is at least the support
 size, every level is in its all-singletons case on every interval, and in
@@ -211,9 +219,7 @@ class _Level:
     progress.  The base level (empty stack) has D as its table.  A head of
     an S-type weight loop keeps, by left end, its exclusive values (or the
     bounds that stood in for them, see Pruning) at the right end in
-    progress in ``carry`` and at the one before in ``carried``; the level
-    of an A-ladder keeps the base column of the right end before in
-    ``carried``.
+    progress in ``carry`` and at the one before in ``carried``.
     """
 
     __slots__ = ("budgets", "inner", "fast", "F", "FT", "live", "carry", "carried")
@@ -332,13 +338,16 @@ class _Column:
 class _Weights(dict):
     """n -> (tp, tq, p, q), filled on its first read: theta_tail_sup(n) =
     tp/tq and theta_for_index(n) = p/q, integers in an exact space and with
-    tq = q = 1.0 in a float space (see Arithmetic above)."""
+    tq = q = 1.0 in a float space (see Arithmetic above).  Past a zero tail
+    sup the weights are zero, and theta_for_index is not asked: a
+    single-family space has index 1 only."""
 
     def __init__(self, space: SpaceSpec):
         self.space = space
 
     def __missing__(self, n: int):
-        tail, theta = self.space.theta_tail_sup(n), self.space.theta_for_index(n)
+        tail = self.space.theta_tail_sup(n)
+        theta = self.space.theta_for_index(n) if tail else tail
         if self.space.exact:
             self[n] = (tail.numerator, tail.denominator, theta.numerator, theta.denominator)
         else:
@@ -349,6 +358,9 @@ class _Weights(dict):
 class _Engine:
     """Interval DP over the support of one vector in one space."""
 
+    # the largest weight index a loop explores, and 1 where none does
+    max_n_explored = 1
+
     def __init__(self, space: SpaceSpec, x: SparseVector):
         if not x:
             raise EmptyVector("norm of the empty vector is not defined")
@@ -358,8 +370,6 @@ class _Engine:
         self.m = len(self.coords)
         scalar = space.scalar
         self.abs_values = tuple(abs(scalar(v)) for v in self.values)
-        self.max_n_explored = 0
-        self.cutoff_bound = None
 
     # -- set-up --------------------------------------------------------------
 
@@ -384,15 +394,16 @@ class _Engine:
         self._prefix = prefix
         # the l1 norm of the whole support, in the space's own arithmetic
         self._ell1 = Fraction(prefix[m], self._scale) if space.exact else prefix[m]
+        if m == 1:
+            # the root is a leaf: no weight loop stops on it, and the
+            # certificate is the one the loop would give at n = 2
+            tp, tq, _, _ = self._weights[2]
+            self.cutoff_bound = tp * self._ell1 / tq
         base = self._base = _Level(None, None, None)
         self._new_table(base)
         self._levels: Dict[tuple, _Level] = {(): base}
         self._heads: Dict[int, _Level] = {}
         self._carriers: List[_Level] = []  # the heads of an S-type weight loop
-        # the heads A_n of an A-type space (which takes no inner A_k) all
-        # cut into pieces of D and differ only in their budget n; one level
-        # stands for all of them in decisions
-        self._ladder = _Level(None, base, None) if space.kind == A_TYPE else None
         self._tables: List[_Level] = []
         self._decisions = [[None] * (m + 1) for _ in range(m)]
         self._i, self._j = -1, 0  # the interval in progress
@@ -401,12 +412,10 @@ class _Engine:
     def _theta_lcd(self) -> int:
         """Common denominator of theta_n over the weight indices that can be
         explored: n with theta_tail_sup(n) > 1/m.  A rational space has
-        rational weights only: ``SpaceSpec`` refuses the others.  A
-        single-family space stops at index 1, the only one it has."""
+        rational weights only: ``SpaceSpec`` refuses the others."""
         lcd = 1
         n = 2 if self.space.kind == A_TYPE else 1
-        single = self.space.kind == SINGLE
-        while not (single and n > 1):
+        while True:
             tp, tq, _, q = self._weights[n]
             if not tp * self.m > tq:
                 break
@@ -506,17 +515,18 @@ class _Engine:
 
     def _exclusive(self, level: _Level, i: int, j: int, ell):
         """The level's value on the interval in progress without the single
-        piece [i, j) itself, as (value, deciding level, split), or None if
-        nothing is left.  The deciding level is the one whose partition into
-        two or more groups (split = value), or into singletons (split =
-        None), attains it; an inner chain on the whole interval wins ties."""
+        piece [i, j) itself, as (value, chain, split), or None if nothing is
+        left.  The value is attained by a partition into singletons (split =
+        None) or into two or more groups of the chain (split = value), of
+        the level whose inner chain that is; an inner chain on the whole
+        interval wins ties."""
         if level is self._base:
             return None
         memo = self._exclusives
         if level in memo:
             return memo[level]
         if j <= level.fast[i]:
-            result = (ell, level, None)
+            result = (ell, level.inner, None)
         else:
             inner = self._exclusive(level.inner, i, j, ell)
             K = min(level.budgets[i], j - i)
@@ -524,7 +534,7 @@ class _Engine:
             if rest is None or inner is not None and inner[0] >= rest:
                 result = inner
             else:
-                result = (rest, level, rest)
+                result = (rest, level.inner, rest)
         memo[level] = result
         return result
 
@@ -532,15 +542,16 @@ class _Engine:
         self._setup()
         absv, prefix = self._absv, self._prefix
         decisions = self._decisions
-        base, ladder = self._base, self._ladder
+        base = self._base
         D, DT = base.F, base.FT
-        weigh = self._weigh if ladder is None else self._weigh_ladder
+        weigh = self._weigh_ladder if self.space.kind == A_TYPE else self._weigh
         for j in range(1, self.m + 1):
             self._j = j
             for head in self._carriers:
                 head.carried, head.carry = head.carry, [None] * self.m
-            if ladder is not None:
-                ladder.carried, base.live = base.live, _Column(base, j, self.stats)
+            # the base column of the right end before, which an A-ladder's
+            # carried bounds read (see Pruning)
+            self._prev_column, base.live = base.live, _Column(base, j, self.stats)
             for i in range(j - 1, -1, -1):
                 self._i = i
                 ell = prefix[j] - prefix[i]
@@ -559,28 +570,23 @@ class _Engine:
                         level, i, j, ell, self._column(level.inner, j)
                     )
         self._i = -1
-        if self.cutoff_bound is None:
-            # single-family spaces, or tiny supports where the loop never ran
-            self.cutoff_bound = self.space.theta_tail_sup(2) * self._ell1
 
     def _weigh(self, i: int, j: int, ell, best, decision):
         """(D[i][j], decision) for j - i >= 2 in an S-type or single-family
         space, from the best sup-norm candidate: theta_n times each head's
         exclusive value, n ascending until the tail bound is dominated."""
         self._exclusives = {}
-        single = self.space.kind == SINGLE
         weights, heads = self._weights, self._heads
         # the bound on [i, j) of an exclusive value carried from [i, j - 1)
         last, widen = self._absv[j - 1], self._widen
+        explored = 0
         n = 1
-        while not (single and n > 1):
+        while True:
             tp, tq, p, q = weights[n]
             if not tp * ell > tq * best:
-                if i == 0 and j == self.m:
-                    self.cutoff_bound = tp * self._ell1 / tq
                 break
             if p * ell > q * best:
-                self.max_n_explored = max(self.max_n_explored, n)
+                explored = n
                 head = heads.get(n)
                 if head is None:
                     head = self._head(n)
@@ -605,6 +611,10 @@ class _Engine:
                         best = value
                         decision = (n, cand[1], cand[2])
             n += 1
+        if i == 0 and j == self.m:
+            self.cutoff_bound = tp * self._ell1 / tq
+        if explored > self.max_n_explored:
+            self.max_n_explored = explored
         return best, decision
 
     def _weigh_ladder(self, i: int, j: int, ell, best, decision):
@@ -612,8 +622,8 @@ class _Engine:
         when j - i <= n, else C_n(i), read off one row fill of the base
         column or ruled out by the bound carried from C_n(i) at j - 1."""
         weights = self._weights
-        ladder = self._ladder
-        column = self._base.live
+        base = self._base
+        column = base.live
         length = j - i
         filled = 0  # the reach of the row fill, once there is one
         hopeless = None  # whether a skip cannot spare the fill
@@ -642,7 +652,7 @@ class _Engine:
                                 hopeless = pw * (won[2] + last) * widen > qw * best
                         if not hopeless and n < length - 1:
                             # C_n(i) at j - 1, or the bound that stood in for it
-                            prev = ladder.carried
+                            prev = self._prev_column
                             carried = prev.C[n][i] if n < len(prev.C) else None
                             if carried is None and prev.U[n] is not None:
                                 carried = prev.U[n][i]
@@ -670,7 +680,7 @@ class _Engine:
                         raise ArithmeticError("node value is not a multiple of the scale")
                 if value > best:
                     best = value
-                    decision = (n, ladder, split)
+                    decision = (n, base, split)
             n += 1
         if i == 0 and j == self.m:
             self.cutoff_bound = tp * self._ell1 / tq
@@ -743,16 +753,16 @@ class _Engine:
         elif level.inner.F[a][b] == value:
             self._expand(level.inner, a, b, value, out)
         else:
-            self._split(level, a, b, value, out)
+            self._split(level.inner, a, b, value, out)
         return out
 
-    def _split(self, level: _Level, a: int, b: int, value, out: List[Interval]):
-        """Append the base pieces of the level's split of [a, b) worth
-        `value`: into the least k >= 2 groups whose C_k(a) attains it (the
-        fill's first maximum over k, as C_k(a) is nondecreasing in k), at
-        the first split whose sum attains C_k(a) at each step.  The column
-        reads only final entries and so repeats the fill's values."""
-        inner = level.inner
+    def _split(self, inner: _Level, a: int, b: int, value, out: List[Interval]):
+        """Append the base pieces of a split of [a, b) into groups of the
+        chain `inner` worth `value`: into the least k >= 2 groups whose
+        C_k(a) attains it (the fill's first maximum over k, as C_k(a) is
+        nondecreasing in k), at the first split whose sum attains C_k(a) at
+        each step.  The column reads only final entries and so repeats the
+        fill's values."""
         column = self._column(inner, b)
         k = 2
         while column.best(a, k) != value:
@@ -780,10 +790,10 @@ class _Engine:
             i, j, d = span
             if d == _LEAF:
                 return None
-            _, level, split = d
+            _, chain, split = d
             if split is None:
                 return [resolve(t, t + 1) for t in range(i, j)]
-            return [resolve(*p) for p in self._split(level, i, j, split, [])]
+            return [resolve(*p) for p in self._split(chain, i, j, split, [])]
 
         def leaf(span):
             return Leaf(1 if self.values[span[0]] >= 0 else -1, self.coords[span[0]])
@@ -806,7 +816,7 @@ def norm(space: SpaceSpec, x: SparseVector) -> NormResult:
     return NormResult(
         value=solved.value(0, solved.m),
         witness=solved.witness(0, solved.m),
-        max_n_explored=max(solved.max_n_explored, 1),
+        max_n_explored=solved.max_n_explored,
         cutoff_bound=solved.cutoff_bound,
     )
 
@@ -939,25 +949,24 @@ def flat_norm_table(space: SpaceSpec, max_len: int) -> List[object]:
     A_n-admissibility depends only on piece counts, so the norm of a flat
     vector depends only on its length; g[L] is computed by an exact-count
     max-plus convolution over piece lengths.  Used by the large-scale audit
-    constructions where the generic interval DP is out of reach.
+    constructions where the generic interval DP is out of reach.  The
+    norms are in the space's arithmetic.
     """
     if space.kind != A_TYPE:
         raise ValueError("flat_norm_table applies to A-type spaces")
-    g = [0.0] * (max_len + 1)
-    g[1] = 1.0
+    g = [None] * (max_len + 1)
+    g[1] = space.scalar(1)
     # a k-piece split is admissible for every level n >= k, so the best
     # weight for it is the tail sup of the weights from k on
-    theta_from = [0.0] + [float(space.theta_tail_sup(k)) for k in range(1, max_len + 1)]
+    theta_from = [None] + [space.theta_tail_sup(k) for k in range(1, max_len + 1)]
     # H[k][l] = best sum of piece norms over exactly k pieces of total
-    # length l; rows extend by one entry as l grows, H[1] aliases g
-    H = [None, g]
+    # length l; each row fills one entry per l, H[1] aliases g
+    H = [None, g] + [[None] * (max_len + 1) for _ in range(2, max_len + 1)]
     for L in range(2, max_len + 1):
-        best = 1.0
+        best = g[1]
         for k in range(2, L + 1):
-            if len(H) <= k:
-                H.append([-math.inf] * (max_len + 1))
             if k == L:
-                H[k][L] = float(L)
+                H[k][L] = space.scalar(L)
             else:
                 # first piece of length s = 1..L-k+1 against H[k-1][L-s]
                 H[k][L] = max(map(add, g[1 : L - k + 2], H[k - 1][L - 1 : k - 2 : -1]))
@@ -965,4 +974,4 @@ def flat_norm_table(space: SpaceSpec, max_len: int) -> List[object]:
             if cand > best:
                 best = cand
         g[L] = best
-    return [None] + g[1:]
+    return g

@@ -99,9 +99,9 @@ class Saturated:
 
     def _cutoff(self):
         """The root's certificate: the weight loop stops at n = 1 when the
-        tail bound does not beat the sup-norm candidates, else at n = 2 (a
-        single-family space, or a one-point support, takes the engine's
-        fallback)."""
+        tail bound does not beat the sup-norm candidates, else at n = 2 (as
+        the engine's does in a single-family space, whose tail sup is 0
+        there, and on a one-point support)."""
         space, ell1 = self.space, self._prefix[self.m]
         tail1 = space.theta_tail_sup(1)
         if self.m >= 2 and not tail1 * ell1 > max(self.value(1, self.m), self.abs_values[0]):

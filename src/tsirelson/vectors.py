@@ -119,6 +119,8 @@ def parse_vector(text: str, arithmetic: str = "rational") -> SparseVector:
                 value = float(value)
             except OverflowError:
                 raise ParseError(f"value {parts[1]} is outside the float range", line=lineno) from None
+            if value == 0:
+                raise ParseError(f"value {parts[1]} underflows to zero in float64", line=lineno)
         pairs.append((coord, value))
     return SparseVector(tuple(pairs))
 

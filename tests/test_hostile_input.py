@@ -26,6 +26,7 @@ from tsirelson.functionals import MAX_WEIGHT_INDEX
 from conftest import child_env
 
 HUGE = "1\t1e400\n"  # exact as a rational, past the float range
+TINY = "1\t1\n2\t-1e-400\n"  # nonzero as a rational, zero as a float
 LARGE = "1\t1e300\n"  # inside the float range
 # an auxiliary S-space with an inner A_3, for ``split``
 XK_CONFIG = "kind = S\ntheta = geometric:1/2\ninner_ak = 3\n"
@@ -45,6 +46,7 @@ REFUSED = {
     "float-overflow-geometric-a": (
         HUGE, ["--arithmetic", "float64", "norm", "--space", "geometric-a:1/2", "--vector", "{vec}"]
     ),
+    "float-underflow-norm": (TINY, ["norm", "--space", "schlumprecht", "--vector", "{vec}"]),
     "ellp-q-zero": ("1\t1\n", ["norm", "--space", "ellp:0", "--vector", "{vec}"]),
     "avg-epsilon-zero": (
         None, ["avg", "build", "--space", "geometric-s:1/2", "--levels", "1", "--epsilon", "0"]
@@ -63,8 +65,14 @@ REFUSED = {
     ),
 }
 
+# the message of a refusal that names its line
+REFUSAL_MESSAGES = {
+    "float-underflow-norm": "error: value -1e-400 underflows to zero in float64 (line 2)",
+}
+
 AT_THE_BOUND = {
     "float-large-norm": (LARGE, ["norm", "--space", "schlumprecht", "--vector", "{vec}"]),
+    "float-explicit-zero": ("1\t1\n2\t0\n", ["norm", "--space", "schlumprecht", "--vector", "{vec}"]),
     "ellp-q-half": ("1\t1\n", ["norm", "--space", "ellp:1/2", "--vector", "{vec}"]),
     "avg-epsilon-half": (
         None,
@@ -111,7 +119,7 @@ def test_refused_with_exit_2(name, tmp_path, capsys):
     code = run(argv_of(REFUSED[name], tmp_path))
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith(REFUSAL_MESSAGES.get(name, "error: "))
 
 
 @pytest.mark.parametrize("name", sorted(AT_THE_BOUND))

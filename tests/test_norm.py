@@ -282,7 +282,8 @@ class TestLargeSupports:
         table = flat_norm_table(spec, 33)
         for size in range(1, 34):
             flat = t.SparseVector(tuple((c, 1) for c in range(1, size + 1)))
-            assert table[size] == float(norm(spec, flat).value), size
+            value = norm(spec, flat).value
+            assert table[size] == value and type(table[size]) is type(value), size
 
 
 # an A-ladder whose largest weight comes late: the weight loop passes the
@@ -682,7 +683,7 @@ class TestCarriedBound:
         # (b) the results without the bound: a previous column with no
         # cells and no bounds carries nothing
         def carrying_nothing(engine, i, j, *args):
-            engine._ladder.carried = _Column(engine._base, j - 1, engine.stats)
+            engine._prev_column = _Column(engine._base, j - 1, engine.stats)
             return weigh(engine, i, j, *args)
 
         with monkeypatch.context() as patch:

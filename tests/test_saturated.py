@@ -63,7 +63,7 @@ def engine_results(spec, x):
     return engine, (
         engine.value(0, engine.m),
         engine.witness(0, engine.m),
-        max(engine.max_n_explored, 1),
+        engine.max_n_explored,
         engine.cutoff_bound,
     )
 
