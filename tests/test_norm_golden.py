@@ -4,7 +4,9 @@
 to 40 support points (44 to 64 for the A-ladders at the sizes of the
 ``norm-large`` benchmark), the value, witness, ``max_n_explored`` and cutoff
 certificate of ``norm``, and the value and pieces of ``admissible_sum``.
-The test asserts exact equality (float values bit for bit), so an engine
+The cases of composed families (S_n[A_k] spaces, flat vectors that explore
+an S_2 head, ``S1[A3]`` and ``S2`` sums) come after the others, so that
+those keep their ids.  The test asserts exact equality (float values bit for bit), so an engine
 change that moves a value or a witness tie-break fails here.
 
 Regenerate the fixture only on purpose, with the engine to be certified:
@@ -38,6 +40,24 @@ LARGE_A_CASES = (
 ADMISSIBLE_SPACES = ("tsirelson", "geometric-a:1/2", "schlumprecht")
 ADMISSIBLE_SIZES = (5, 12)
 ADMISSIBLE_FAMILIES = ("A1", "A2", "A3", "S1", "S2")
+# composed levels whose all-singletons partitions reach past their group
+# budget: exact spaces with weights below 1, and one float space
+COMPOSED_CASES = (
+    ("geometric-s:2/3+A2", 24),
+    ("geometric-s:2/3+A2", 40),
+    ("single:S1[A3]", 32),
+    ("geometric-s:9/10+A2", 24),
+    ("float-geometric-s:1/2+A3", 32),
+)
+# flat vectors, all ones on coordinates 1 .. m, on which this space
+# explores its S_2 head
+FLAT_CASES = (("geometric-s:9/10+A2", 12), ("geometric-s:9/10+A2", 32))
+COMPOSED_ADMISSIBLE = (
+    ("tsirelson", 24, "S1[A3]"),
+    ("tsirelson", 24, "S2"),
+    ("geometric-a:1/2", 24, "S1[A3]"),
+    ("geometric-a:1/2", 24, "S2"),
+)
 
 
 def golden_spaces():
@@ -60,6 +80,14 @@ def golden_spaces():
         "explicit-a": explicit,
         "float-geometric-s:1/2+A2": t.SpaceSpec(
             "S", thetas=t.Geometric(Fraction(1, 2)), inner_ak=2, arithmetic="float64"
+        ),
+        "geometric-s:2/3+A2": t.preset("geometric-s:2/3").with_inner_ak(2),
+        "single:S1[A3]": t.SpaceSpec(
+            "single", single_family=t.Sn(1), single_theta=Fraction(1, 2), inner_ak=3
+        ),
+        "geometric-s:9/10+A2": t.preset("geometric-s:9/10").with_inner_ak(2),
+        "float-geometric-s:1/2+A3": t.SpaceSpec(
+            "S", thetas=t.Geometric(Fraction(1, 2)), inner_ak=3, arithmetic="float64"
         ),
     }
 
@@ -99,27 +127,36 @@ def _admissible_record(space, x, family):
 
 def generate():
     spaces = golden_spaces()
-    cases = [(label, m) for label in spaces for m in SIZES] + list(LARGE_A_CASES)
+    composed = {label for label, _ in COMPOSED_CASES}
+    cases = [(label, m) for label in spaces if label not in composed for m in SIZES]
+    cases += LARGE_A_CASES + COMPOSED_CASES
     norms = []
     for label, m in cases:
         space = spaces[label]
         for r in range(VECTORS_PER_SIZE):
             x = _vector(label, space, m, r)
             norms.append({"space": label, "vector": _encode_vector(x), **_norm_record(space, x)})
+    for label, m in FLAT_CASES:
+        x = t.SparseVector(tuple((c, Fraction(1)) for c in range(1, m + 1)))
+        norms.append({"space": label, "vector": _encode_vector(x), **_norm_record(spaces[label], x)})
     sums = []
-    for label in ADMISSIBLE_SPACES:
+    cases = [
+        (label, m, family)
+        for label in ADMISSIBLE_SPACES
+        for m in ADMISSIBLE_SIZES
+        for family in ADMISSIBLE_FAMILIES
+    ]
+    for label, m, family in cases + list(COMPOSED_ADMISSIBLE):
         space = spaces[label]
-        for m in ADMISSIBLE_SIZES:
-            x = _vector(label, space, m, 0)
-            for family in ADMISSIBLE_FAMILIES:
-                sums.append(
-                    {
-                        "space": label,
-                        "family": family,
-                        "vector": _encode_vector(x),
-                        **_admissible_record(space, x, family),
-                    }
-                )
+        x = _vector(label, space, m, 0)
+        sums.append(
+            {
+                "space": label,
+                "family": family,
+                "vector": _encode_vector(x),
+                **_admissible_record(space, x, family),
+            }
+        )
     return {"norm": norms, "admissible_sum": sums}
 
 
