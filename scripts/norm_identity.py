@@ -2,12 +2,16 @@
 checkout and a git ref, and report every difference in the results.
 
     python scripts/norm_identity.py HEAD~1 --rounds 60 --seed 20081227
+    python scripts/norm_identity.py HEAD~1 --rounds 60 --inner-ak 2,3
 
 The ref is exported with ``git archive`` into a temporary directory.  The
 inputs of each round are the ones ``benchmarks/workloads.py`` draws for
 ``Random(f"norm-large:{seed}:{round}")``, as the benchmark worker does:
 this checkout draws them once and writes them to a file, with each
-coordinate exact (``p/q``) or as a float's ``repr``.  Each tree then runs
+coordinate exact (``p/q``) or as a float's ``repr``.  With ``--inner-ak``,
+each call in an S-type or single-family space without an inner A_k is
+also replayed with the same vector and each listed inner A_k (labelled
+``with A<k>``).  Each tree then runs
 ``norm`` on all of them in a fresh interpreter, against its own ``src``,
 and the value and its type, the witness, ``max_n_explored`` and
 ``cutoff_bound`` are compared.  Prints one line per difference, a
@@ -36,8 +40,9 @@ FIELDS = ("value", "value type", "witness", "max_n_explored", "cutoff_bound")
 COUNTERS = ("cells", "skips", "row_fills")
 
 
-def draw(rounds: int, seed: int, workdir: Path) -> list:
-    """The workload's norm calls of rounds 0 .. rounds - 1, as JSON cases."""
+def draw(rounds: int, seed: int, workdir: Path, inner_ak=()) -> list:
+    """The workload's norm calls of rounds 0 .. rounds - 1, as JSON cases,
+    each S-type one followed by its replays with the inner A_k listed."""
     sys.path[:0] = [str(ROOT / "benchmarks"), str(ROOT / "src")]
     import workloads
 
@@ -47,12 +52,15 @@ def draw(rounds: int, seed: int, workdir: Path) -> list:
         rng = random.Random(f"{workload.name}:{seed}:{round_index}")
         for op in workload.round_ops(rng, workdir):
             space, x = op.run.__defaults__
-            cases.append({
+            case = {
                 "label": f"round {round_index} {op.kind}",
                 "preset": space.name,
                 "inner_ak": space.inner_ak,
                 "entries": [[c, str(v) if space.exact else repr(v)] for c, v in x.entries],
-            })
+            }
+            cases.append(case)
+            if space.kind != "A" and not space.inner_ak:
+                cases += [dict(case, label=f"{case['label']} with A{k}", inner_ak=k) for k in inner_ak]
     return cases
 
 
@@ -94,6 +102,8 @@ def main(argv=None) -> int:
     p.add_argument("ref", nargs="?", help="the git ref to compare this checkout with")
     p.add_argument("--rounds", type=int, default=60, help="rounds 0 .. N-1 (6 norm calls each)")
     p.add_argument("--seed", type=int, default=20081227)
+    p.add_argument("--inner-ak", type=_ks, default=(), metavar="K,K,...",
+                   help="also replay each S-type call with these inner A_k")
     p.add_argument("--evaluate", metavar="CASES", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.evaluate:
@@ -104,7 +114,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="norm-identity-") as tmp:
         tmp = Path(tmp)
-        cases = draw(args.rounds, args.seed, tmp)
+        cases = draw(args.rounds, args.seed, tmp, args.inner_ak)
         cases_file = tmp / "cases.json"
         cases_file.write_text(json.dumps(cases))
         results = []
@@ -124,11 +134,16 @@ def main(argv=None) -> int:
     print(f"{len(cases)} norm calls at seed {args.seed}, {differ} differ "
           f"(this checkout against {args.ref})")
     print(f"work summed per preset ({', '.join(COUNTERS)}), this checkout | {args.ref}:")
-    kinds = [case["label"].split()[-1] for case in cases]
+    kinds = [case["label"].split(" ", 2)[2] for case in cases]
     for kind in dict.fromkeys(kinds):
         sums = [_summed(row for k, row in zip(kinds, rows) if k == kind) for rows in results]
         print(f"  {kind}: {' | '.join(sums)}")
     return 1 if differ else 0
+
+
+def _ks(text: str) -> tuple:
+    """A comma-separated list of inner A_k indices."""
+    return tuple(int(k) for k in text.split(","))
 
 
 def _summed(rows) -> str:

@@ -34,14 +34,29 @@ sum (triangle inequality on restrictions; the halves keep admissible
 minima): ``C_k(a)`` is nondecreasing in k, and a level's value on [i, j) is
 ``C_K(i)`` at the group cap ``K = min(budget, j - i)``.  When the
 all-singletons partition is admissible it is optimal (every piece is worth
-at most its l1 norm), and the level's value is the l1 norm.
+at most its l1 norm), and the level's value is the l1 norm.  The level
+takes it on [i, j) for j up to ``fast[i]``: the end of at most ``budget``
+greedy runs from i, each to the inner chain's ``fast`` limit (a run over
+the base is one point), at most m.  The families are hereditary, so
+``fast`` is nondecreasing and greedy runs reach furthest: i + n for A_n
+over the base, i + min(k * coords[i], m - i) for S_1[A_k], and past the
+budget for S_n (n >= 2) and A_n[S_1] too.  This limit holds in an exact
+space whose weights are all below 1 (``theta_tail_sup(1) < 1``): there a
+piece of two or more points is worth strictly less than its l1 norm, so
+``C_K(i)`` attains the l1 norm through singletons only, and the values,
+witnesses and pieces are those of the capped limit.  Every other space
+caps ``fast[i]`` at ``i + budget``, since a float sum must keep the order
+of addition: uncapped, the float64 geometric-s:1/2 space with an inner
+A_2 moved a golden norm at m = 24 by one ulp (25.458333333333332 to
+25.458333333333336).
 
 Tables.  Only a chain that is the inner chain of some level keeps its value
 table ``A[i][j]``.  The values ``C_k(a)`` exist for the current right end j
 only, one row list per level k, computed on demand; no split point and no
 decision is kept.  A read of ``C_K(i)`` needs level k only at rows
 i + K - k .. j - k, so each level k < K is extended down to that row, a
-band that only grows as i falls, and the one cell ``C_K(i)`` is computed.
+band that only grows as i falls, and the one cell ``C_K(i)`` is computed;
+an interval within the level's ``fast`` limit reads none.
 An A-ladder's weight loop computes row i of every level up to its reach in
 one pass over the row.  Every cell is the same maximum over the same
 splits, whichever order the band takes, so its value does not depend on
@@ -212,8 +227,11 @@ def _normalize(stack: tuple) -> tuple:
 class _Level:
     """One level of a family chain over one support.
 
-    ``budgets[i]`` bounds the groups of a partition of [i, j); the
-    all-singletons partition of [i, j) is admissible iff j <= fast[i].
+    ``budgets[i]`` bounds the groups of a partition of [i, j); the level
+    takes the all-singletons partition of [i, j), worth the l1 norm, iff
+    j <= fast[i]: the end of greedy runs to the inner chain's fast limits
+    in an exact space whose weights are all below 1, else i + budgets[i]
+    (see Chains).
     The value table ``F``/``FT`` (rows/columns) exists once the level is
     the inner chain of another; ``live`` is the column of the right end in
     progress.  The base level (empty stack) has D as its table.  A head of
@@ -268,22 +286,6 @@ class _Column:
             low.append(j - len(C) + 1)  # empty: row j - k is the top one
             C.append([None] * j)
 
-    def _extend(self, k: int, stop: int):
-        """Extend level k's band down to row stop; level k - 1 must hold
-        rows stop + 1 .. j - k + 1.  Row e takes the splits e + 1 ..
-        j - k + 1 of level k - 1.  The single cells met are kept."""
-        low = self.low
-        F, cur, prev = self.F, self.C[k], self.C[k - 1]
-        end = self.j - k + 2
-        rows = range(low[k] - 1, stop - 1, -1)
-        missing = cur[stop : low[k]].count(None)
-        if missing < len(rows):
-            rows = [e for e in rows if cur[e] is None]
-        for e in rows:
-            cur[e] = max(map(add, F[e][e + 1 : end], prev[e + 1 : end]))
-        self.stats["cells"] += missing
-        low[k] = stop
-
     def best(self, i: int, K: int):
         """C_K(i), with the bands it reads extended."""
         C = self.C
@@ -295,15 +297,23 @@ class _Column:
         if cell is None:
             # level k must reach row i + K - k; the levels short of that
             # are the top ones, as a band's low + k never falls with k
-            low, top = self.low, i + K
+            F, low, top = self.F, self.low, i + K
             k = K - 1
             while k >= 2 and low[k] + k > top:
                 k -= 1
+            # extend them downward, keeping the single cells met; row e
+            # takes the splits e + 1 .. j - k + 1 of level k - 1
+            end, cells = self.j - k + 1, 1
             for k in range(k + 1, K):
-                self._extend(k, top - k)
-            end = self.j - K + 2
-            cell = C[K][i] = max(map(add, self.F[i][i + 1 : end], C[K - 1][i + 1 : end]))
-            stats["cells"] += 1
+                cur, prev = C[k], C[k - 1]
+                for e in range(low[k] - 1, top - k - 1, -1):
+                    if cur[e] is None:
+                        cur[e] = max(map(add, F[e][e + 1 : end], prev[e + 1 : end]))
+                        cells += 1
+                low[k] = top - k
+                end -= 1
+            cell = C[K][i] = max(map(add, F[i][i + 1 : end], C[K - 1][i + 1 : end]))
+            stats["cells"] += cells
             if low[K] == i + 1:
                 low[K] = i
         return cell
@@ -315,11 +325,17 @@ class _Column:
             self._grow(K)
         # levels 2 .. K - 1 must hold rows i + 1 and above; after a row
         # fill of row i + 1 only those past its depth can fall short
+        F, cells = self.F, K - 1
         for k in range(self.depth + 1 if self.row == i + 1 else 2, K):
             if low[k] > i + 1:
-                self._extend(k, i + 1)
+                cur, prev, end = C[k], C[k - 1], j - k + 2
+                for e in range(low[k] - 1, i, -1):
+                    if cur[e] is None:
+                        cur[e] = max(map(add, F[e][e + 1 : end], prev[e + 1 : end]))
+                        cells += 1
+                low[k] = i + 1
         # map stops at the shorter operand
-        row = self.F[i][i + 1 : j]
+        row = F[i][i + 1 : j]
         prev = C[1]
         end = j
         for cur in C[2 : K + 1]:
@@ -331,7 +347,7 @@ class _Column:
             low[K] = i
         self.row, self.depth = i, K - 1
         stats = self.stats
-        stats["cells"] += K - 1
+        stats["cells"] += cells
         stats["row_fills"] += 1
 
 
@@ -441,31 +457,29 @@ class _Engine:
             else:  # Sn(n), n >= 1
                 budgets = self.coords
                 inner = ((families.Sn(head.n - 1),) + rest) if head.n >= 2 else rest
-            level = _Level(budgets, self._level(inner), self._fast_limits(stack, budgets))
+            inner = self._level(inner)
+            level = _Level(budgets, inner, self._fast_limits(budgets, inner))
             self._levels[stack] = level
         return level
 
-    def _fast_limits(self, stack: tuple, budgets) -> List[int]:
-        """fast[i]: the largest j such that the coordinates of [i, j) form a
-        member of the composed family, within the budget.  Families are
-        hereditary, so fast[i] is nondecreasing in i and one sweep finds it."""
-        fam = stack[-1]
-        for outer in reversed(stack[:-1]):
-            fam = families.Compose(outer, fam)
-        coords, m = self.coords, self.m
-        limits = []
-        end = 0
-        for i in range(m):
-            cap = i + min(budgets[i], m - i)
-            if isinstance(fam, families.An):
-                end = min(cap, i + fam.n)
-            elif isinstance(fam, families.Sn) and fam.n == 1:
-                end = min(cap, i + coords[i])
-            else:
-                end = max(end, i + 1)
-                while end < cap and families.is_member(fam, coords[i : end + 1]):
-                    end += 1
-            limits.append(end)
+    def _fast_limits(self, budgets, inner: _Level) -> List[int]:
+        """fast[i] (see Chains above): i + budgets[i], or in an exact space
+        whose weights are all below 1 the end of at most budgets[i] greedy
+        runs from i, each to the inner chain's fast limit; at most m.  Over
+        the base, where a run is one point, the two agree."""
+        m = self.m
+        limits = [i + min(budgets[i], m - i) for i in range(m)]
+        if inner is self._base or not self.space.exact:
+            return limits
+        tp, tq, _, _ = self._weights[1]
+        if tp < tq:
+            for i in range(m):
+                end = i
+                for _ in range(budgets[i]):
+                    end = inner.fast[end]
+                    if end == m:
+                        break
+                limits[i] = end
         return limits
 
     def _head(self, n: int) -> _Level:

@@ -482,6 +482,48 @@ class TestEngineContract:
                         assert by_cap == sorted(by_cap)
 
 
+class TestFastLimits:
+    """``fast[i]`` of a composed level, the end of its all-singletons
+    partitions from i: in an exact space whose weights are all below 1 the
+    largest j with coords[i:j] a member of the composed family, elsewhere
+    the group budget."""
+
+    STACKS = ("S1[A2]", "S1[A3]", "S2", "S2[A2]", "S3", "A2[A3]", "A3[S1]")
+
+    @staticmethod
+    def _fast(spec, x, family):
+        engine = _Engine(spec, x)
+        engine._setup()
+        return engine._level((family,)).fast
+
+    @pytest.mark.parametrize("text", STACKS)
+    def test_largest_member_in_exact_spaces_below_one(self, text):
+        family = t.parse_family(text)
+        rng = random.Random(f"fast:{text}")
+        for spec in (TSIRELSON, GEOM_S):
+            for _ in range(8):
+                x = random_vector(rng, rng.randint(1, 14), first=1, gap=2)
+                coords, m = x.support, len(x)
+                members = [
+                    max(j for j in range(i + 1, m + 1) if t.is_member(family, coords[i:j]))
+                    for i in range(m)
+                ]
+                assert self._fast(spec, x, family) == members
+
+    @pytest.mark.parametrize("text", STACKS)
+    def test_group_budget_in_float_spaces_and_at_weight_one(self, text):
+        family = t.parse_family(text)
+        head = family.outer if isinstance(family, t.Compose) else family
+        weight_one = t.SpaceSpec("single", single_family=t.Sn(1), single_theta=Fraction(1), inner_ak=3)
+        rng = random.Random(f"capped:{text}")
+        for spec in (GEOM_S.replace(arithmetic=FLOAT64), weight_one):
+            for _ in range(8):
+                x = random_vector(rng, rng.randint(1, 14), first=1, gap=2, exact=spec.exact)
+                coords, m = x.support, len(x)
+                budgets = [head.n if isinstance(head, t.An) else c for c in coords]
+                assert self._fast(spec, x, family) == [i + min(budgets[i], m - i) for i in range(m)]
+
+
 class TestWorkCounters:
     """Deterministic work counts of the fill, read off ``_Engine.stats`` and
     gated without timing."""
@@ -496,10 +538,15 @@ class TestWorkCounters:
         assert engine.max_n_explored >= 30
         assert 0 < engine.stats["row_fills"] <= m * (m - 1) // 2
 
-    @pytest.mark.parametrize("label, m, fill_cap", [("schlumprecht", 44, 13_874), ("tsirelson", 40, 6_000)])
+    @pytest.mark.parametrize(
+        "label, m, fill_cap",
+        [("schlumprecht", 44, 13_874), ("tsirelson", 40, 6_000), ("geometric-s:1/2+A3", 36, 3_300)],
+    )
     def test_k_steps_of_the_fill_and_of_the_witness(self, label, m, fill_cap):
         # a k-step is one C_k(e) cell; the witness re-derives its splits
-        # with at most a tenth of the fill's cells
+        # with at most a tenth of the fill's cells.  S_1[A_3] takes the l1
+        # norm on up to 3 * coords[i] points with no cell: the cap is under
+        # 60% of the 5,535 cells of a fill capped at coords[i] points
         spec = _spec(label)
         engine = _Engine(spec, _large_vector(label, m, exact=spec.exact))
         engine.fill()
