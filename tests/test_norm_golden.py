@@ -6,8 +6,9 @@ to 40 support points (44 to 64 for the A-ladders at the sizes of the
 certificate of ``norm``, and the value and pieces of ``admissible_sum``.
 The cases of composed families (S_n[A_k] spaces, flat vectors that explore
 an S_2 head, ``S1[A3]`` and ``S2`` sums) come after the others, so that
-those keep their ids.  The test asserts exact equality (float values bit for bit), so an engine
-change that moves a value or a witness tie-break fails here.
+those keep their ids.  The test asserts exact equality (float values bit
+for bit), so an engine change that moves a value or a witness tie-break
+fails here.
 
 Regenerate the fixture only on purpose, with the engine to be certified:
 
