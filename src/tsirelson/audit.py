@@ -117,14 +117,20 @@ def audit_family_inclusion(
     )
 
 
-def audit_sch1_grid(ground: int = 12, ks=(1, 2), ms=(1, 2), n_max: int = 2) -> AuditReport:
+# The grid of audit_sch1_grid: k and m of the inner A_k and A_m, and n of S_n
+SCH1_KS = (1, 2)
+SCH1_MS = (1, 2)
+SCH1_N_MAX = 2
+
+
+def audit_sch1_grid(ground: int = 12) -> AuditReport:
     """The composition-absorption inclusion over a small parameter grid,
     with the smallest admissible l per pair, plus a negative control where
     the inequality k*m < 2^l fails."""
     rows = []
-    for k in ks:
-        for m in ms:
-            for n in range(1, n_max + 1):
+    for k in SCH1_KS:
+        for m in SCH1_MS:
+            for n in range(1, SCH1_N_MAX + 1):
                 l = 1
                 while k * m >= 2**l:
                     l += 1
@@ -296,16 +302,11 @@ GENERIC_NORM_SUPPORT_CAP = 72
 # O(L^3) time and O(L^2) floats: 2.5 s at L = 511 on a 2-vCPU Xeon, and
 # about eight times as long per doubling of L.
 FLAT_TABLE_MAX_LEN = 1024
+# Largest total support of the blocks that audit_kriv builds
+KRIV_LEAF_BUDGET = 300_000
 
 
-def audit_kriv(
-    space: SpaceSpec,
-    N: int,
-    r: int,
-    seed: int = 0,
-    leaf_budget: int = 300_000,
-    relax: str = "auto",
-) -> AuditReport:
+def audit_kriv(space: SpaceSpec, N: int, r: int, seed: int = 0, relax: str = "auto") -> AuditReport:
     """Construct the block sequence of normalized flat l_r-average candidates
     satisfying the decay conditions and check the universal N^(1/p) bound.
 
@@ -330,7 +331,7 @@ def audit_kriv(
         if plan is not None:
             lengths = [L for _, L in plan]
             total = sum(lengths)
-            if total <= leaf_budget and (N == 1 or total <= GENERIC_NORM_SUPPORT_CAP):
+            if total <= KRIV_LEAF_BUDGET and (N == 1 or total <= GENERIC_NORM_SUPPORT_CAP):
                 break
         if relax != "auto":
             raise BudgetExceeded(
@@ -401,7 +402,7 @@ def audit_kriv(
         rows.append(AuditRow(f"J={[n + 1 for n in J]}", values, ok))
     return AuditReport(
         "kriv",
-        {"N": N, "r": r, "p": p, "scale": scale, "leaf_budget": leaf_budget},
+        {"N": N, "r": r, "p": p, "scale": scale, "leaf_budget": KRIV_LEAF_BUDGET},
         tuple(rows),
         seed,
     )

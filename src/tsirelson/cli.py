@@ -109,16 +109,15 @@ def _cmd_family(args) -> int:
         pieces = [list(p) for p in witness.piece_sets()]
         _emit(args, {"member": True, "pieces": pieces}, f"pieces = {pieces}")
         return 0
-    if args.family_cmd == "maxweight":
-        weights = {}
-        for part in args.weights.split(","):
-            coord, _, w = part.partition(":")
-            weights[int(coord)] = Fraction(w)
-        subset, value = families.max_weight_subset(fam, weights)
-        payload = {"set": list(subset), "value": render_scalar(value)}
-        _emit(args, payload, f"set = {list(subset)} value = {render_scalar(value)}")
-        return 0
-    raise ParseError(f"unknown family subcommand {args.family_cmd!r}")
+    # maxweight, the last subcommand the parser admits
+    weights = {}
+    for part in args.weights.split(","):
+        coord, _, w = part.partition(":")
+        weights[int(coord)] = Fraction(w)
+    subset, value = families.max_weight_subset(fam, weights)
+    payload = {"set": list(subset), "value": render_scalar(value)}
+    _emit(args, payload, f"set = {list(subset)} value = {render_scalar(value)}")
+    return 0
 
 
 def _parse_set(text: str):
@@ -222,14 +221,7 @@ def _cmd_audit(args) -> int:
 
         spec = _load_space(args)
         if args.avg_cmd == "build":
-            tree = averages.build_averaging_tree(
-                spec,
-                averages.basis_pool(),
-                args.levels,
-                Fraction(args.epsilon),
-                relaxed_scale=args.relaxed,
-                leaf_budget=args.leaf_budget,
-            )
+            tree = _averaging_tree(args, spec, leaf_budget=args.leaf_budget)
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:
                     json.dump(averages.tree_to_dict(tree), fh, sort_keys=True)
@@ -242,15 +234,8 @@ def _cmd_audit(args) -> int:
         from . import averages
 
         spec = _load_space(args)
-        tree = averages.build_averaging_tree(
-            spec,
-            averages.basis_pool(),
-            args.levels,
-            Fraction(args.epsilon),
-            relaxed_scale=args.relaxed,
-        )
-        report = averages.audit_tav(spec, tree, Fraction(args.delta))
-    elif suite == "domination":
+        report = averages.audit_tav(spec, _averaging_tree(args, spec), Fraction(args.delta))
+    else:  # domination, the last suite the parser admits
         spec = _load_space(args)
         ys = [_load_vector(p, spec) for p in args.ys]
         zs = [_load_vector(p, spec) for p in args.zs]
@@ -258,10 +243,23 @@ def _cmd_audit(args) -> int:
         row = audit.AuditRow("estimate", {"estimate": est}, None)
         params = {"trials": args.trials}
         report = audit.AuditReport("domination", params, (row,), args.seed)
-    else:
-        raise ParseError(f"unknown audit suite {suite!r}")
     _emit(args, report.to_dict(), report.table())
     return 0 if report.all_pass else 1
+
+
+def _averaging_tree(args, spec, **leaf_budget):
+    """The averaging tree of ``avg build`` and ``audit tav`` over the basis
+    pool; ``audit tav`` passes no leaf budget and keeps the library's."""
+    from . import averages
+
+    return averages.build_averaging_tree(
+        spec,
+        averages.basis_pool(),
+        args.levels,
+        Fraction(args.epsilon),
+        relaxed_scale=args.relaxed,
+        **leaf_budget,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

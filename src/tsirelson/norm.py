@@ -131,17 +131,20 @@ that can be explored (those with ``theta_tail_sup(n) > 1/m``, since an
 explored n needs ``tail * l1 > best >= l1 / len``).  A tree over an interval
 of length len has depth at most len - 1 (a node has at least two pieces),
 so every value is an integer multiple of 1/G and a node's value
-``p * S // q`` is an exact division, which is checked.  Values become
+``p * S // q`` is an exact division.  Values become
 ``Fraction`` only at the interface; the cutoff certificate is computed in
 the space's own arithmetic.
 The weight loops read every weight through one table (``_Weights``):
 theta_n = p/q and its tail sup tp/tq, as integers in an exact space and
 with q = tq = 1.0 in a float space.  So one test ``p * ell > q * best``
-and one node value ``p * S``, divided by q when q != 1, serve both
-arithmetics; in floats ``1.0 * best`` is ``best`` exactly, and every
-comparison and product is the one a float weight gives.  The table alone
-knows where the weights end: past a zero tail sup (a single-family space
-from n = 2 on) it gives zero weights.  Both loops run until the first n
+serves both arithmetics, and so does one node-value step: a candidate
+``p * S`` wins only if ``p * S > q * best``, and only a winner is divided
+by q (``_divide``, which checks the division), so an index that cannot
+win computes no node value.  In floats ``1.0 * best`` is ``best`` exactly
+and the division by 1.0 is skipped, so every comparison and value is the
+one a float weight gives.  The table alone knows where the weights end:
+past a zero tail sup (a single-family space from n = 2 on) it gives zero
+weights.  Both loops run until the first n
 whose tail bound fails, and there record ``max_n_explored`` and, at the
 root [0, m), the certificate ``tail_n * ||x||_1``; a one-point support,
 whose root no loop reaches, takes the certificate of n = 2.
@@ -369,6 +372,17 @@ class _Weights(dict):
         else:
             self[n] = (tail, 1.0, theta, 1.0)
         return self[n]
+
+
+def _divide(value, q):
+    """A winning node value p * S divided by q (see Arithmetic above): an
+    exact division, which is checked, in an exact space; q = 1.0 in a
+    float space."""
+    if q != 1:
+        value, rem = divmod(value, q)
+        if rem:
+            raise ArithmeticError("node value is not a multiple of the scale")
+    return value
 
 
 class _Engine:
@@ -617,12 +631,8 @@ class _Engine:
                 if cand is not None:
                     head.carry[i] = cand[0]
                     value = p * cand[0]
-                    if q != 1:
-                        value, rem = divmod(value, q)
-                        if rem:
-                            raise ArithmeticError("node value is not a multiple of the scale")
-                    if value > best:
-                        best = value
+                    if value > q * best:
+                        best = _divide(value, q)
                         decision = (n, cand[1], cand[2])
             n += 1
         if i == 0 and j == self.m:
@@ -688,12 +698,8 @@ class _Engine:
                         c = column.best(i, n)
                     split = c
                 value = p * c
-                if q != 1:
-                    value, rem = divmod(value, q)
-                    if rem:
-                        raise ArithmeticError("node value is not a multiple of the scale")
-                if value > best:
-                    best = value
+                if value > q * best:
+                    best = _divide(value, q)
                     decision = (n, base, split)
             n += 1
         if i == 0 and j == self.m:

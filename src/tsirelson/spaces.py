@@ -2,8 +2,12 @@
 
 A space is determined by a family kind (the full ladder ``A_n`` or ``S_n``,
 optionally composed with an inner ``A_k``, or a single family with a single
-weight) together with a weight sequence.  Weight sequences are exact in
-rational mode; variants whose values are irrational raise
+weight) together with a weight sequence.  Each weight-sequence class
+computes its own weights: ``theta(n, exact)`` is theta_n and
+``sup_from(n, exact)`` the sup of theta_m over m >= n, which is theta_n
+for the four decreasing sequences.  ``theta`` and ``theta_sup_from`` are
+the module's entry points to them.  Weight sequences are exact in rational
+mode; variants whose values are irrational raise
 ``IrrationalInRationalMode`` there and are meant for float mode.
 """
 
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from . import families
 from .errors import IrrationalInRationalMode, OverBudget, ParseError
@@ -29,6 +33,12 @@ class Geometric(Record):
         if not (0 < self.ratio < 1):
             raise ValueError("geometric ratio must lie in (0,1)")
 
+    def theta(self, n: int, exact: bool):
+        value = self.ratio**n
+        return value if exact else float(value)
+
+    sup_from = theta  # decreasing
+
 
 class PowerLaw(Record):
     """theta_n = n**(-1/q) with q > 1.  Note theta_1 = 1; see ledger note."""
@@ -38,6 +48,11 @@ class PowerLaw(Record):
     def __post_init__(self):
         if not self.q > 1:
             raise ValueError("power law requires q > 1")
+
+    def theta(self, n: int, exact: bool):
+        return _power_theta(1, self.q, n, exact)
+
+    sup_from = theta  # decreasing
 
 
 class ScaledPowerLaw(Record):
@@ -52,9 +67,24 @@ class ScaledPowerLaw(Record):
         if not self.q > 1:
             raise ValueError("scaled power law requires q > 1")
 
+    def theta(self, n: int, exact: bool):
+        return _power_theta(self.c, self.q, n, exact)
+
+    sup_from = theta  # decreasing
+
 
 class LogReciprocal(Record):
     """theta_n = 1/log2(n+1), the Schlumprecht weights.  theta_1 = 1."""
+
+    def theta(self, n: int, exact: bool):
+        if not exact:
+            return 1.0 / math.log2(n + 1)
+        j = (n + 1).bit_length() - 1
+        if (1 << j) == n + 1:
+            return Fraction(1, j)
+        raise IrrationalInRationalMode(f"1/log2({n + 1}) is irrational; use float mode")
+
+    sup_from = theta  # decreasing
 
 
 class ExplicitSeq(Record):
@@ -74,38 +104,25 @@ class ExplicitSeq(Record):
         if not (0 < self.tail < 1):
             raise ValueError("tail ratio must lie in (0,1)")
 
+    def theta(self, n: int, exact: bool):
+        k = len(self.values)
+        value = self.values[n - 1] if n <= k else self.values[-1] * self.tail ** (n - k)
+        return value if exact else float(value)
 
-ThetaSeq = object  # union of the five variants above
+    def sup_from(self, n: int, exact: bool):
+        # the geometric tail decreases, so its first index from n on bounds it
+        best = max(self.values[n - 1 :] + (self.theta(max(n, len(self.values) + 1), True),))
+        return best if exact else float(best)
+
+
+ThetaSeq = Union[Geometric, PowerLaw, ScaledPowerLaw, LogReciprocal, ExplicitSeq]
 
 
 def theta(seq: ThetaSeq, n: int, arithmetic: str = RATIONAL):
     """The n-th weight, exact in rational mode or float in float mode."""
     if n < 1:
         raise ValueError("weights are indexed from 1")
-    exact = arithmetic == RATIONAL
-    if isinstance(seq, Geometric):
-        value = seq.ratio**n
-        return value if exact else float(value)
-    if isinstance(seq, ExplicitSeq):
-        if n <= len(seq.values):
-            value = seq.values[n - 1]
-        else:
-            value = seq.values[-1] * seq.tail ** (n - len(seq.values))
-        return value if exact else float(value)
-    if isinstance(seq, PowerLaw):
-        return _power_theta(1, seq.q, n, exact)
-    if isinstance(seq, ScaledPowerLaw):
-        return _power_theta(seq.c, seq.q, n, exact)
-    if isinstance(seq, LogReciprocal):
-        if exact:
-            j = (n + 1).bit_length() - 1
-            if (1 << j) == n + 1:
-                return Fraction(1, j)
-            raise IrrationalInRationalMode(
-                f"1/log2({n + 1}) is irrational; use float mode"
-            )
-        return 1.0 / math.log2(n + 1)
-    raise TypeError(f"not a weight sequence: {seq!r}")
+    return seq.theta(n, arithmetic == RATIONAL)
 
 
 def _power_theta(c, q, n, exact):
@@ -122,29 +139,7 @@ def _power_theta(c, q, n, exact):
 
 def theta_sup_from(seq: ThetaSeq, n: int, arithmetic: str = FLOAT64):
     """sup of theta_m over m >= n; used as a sound tail bound by the norm engine."""
-    if n < 1:
-        n = 1
-    exact = arithmetic == RATIONAL
-    if isinstance(seq, Geometric):
-        return theta(seq, n, arithmetic)
-    if isinstance(seq, (PowerLaw, ScaledPowerLaw, LogReciprocal)):
-        # decreasing sequences
-        if isinstance(seq, LogReciprocal) and exact:
-            # exact upper bound: 1/j for the largest power of two <= n+1
-            j = (n + 1).bit_length() - 1
-            return Fraction(1, max(j, 1))
-        if exact:
-            raise IrrationalInRationalMode("power-law tail bound needs float mode")
-        return theta(seq, n, FLOAT64)
-    if isinstance(seq, ExplicitSeq):
-        candidates = list(seq.values[n - 1 :])
-        tail_start = max(n, len(seq.values) + 1)
-        candidates.append(
-            seq.values[-1] * seq.tail ** (tail_start - len(seq.values))
-        )
-        best = max(candidates)
-        return best if exact else float(best)
-    raise TypeError(f"not a weight sequence: {seq!r}")
+    return seq.sup_from(max(n, 1), arithmetic == RATIONAL)
 
 
 PRODUCT = "product"
@@ -221,9 +216,12 @@ class RegularityReport(Record):
 def check_regularity(seq: ThetaSeq, mode: str, horizon: int, arithmetic: str = RATIONAL) -> RegularityReport:
     """Check monotone decrease and super-multiplicativity within the horizon.
 
-    Also reports whether theta_n/theta^n is non-increasing (the hypothesis
-    under which the special-average machinery applies), using the
-    finite-horizon estimate of theta.
+    Both comparisons go through ``scalars.leq``: exact in rational mode,
+    within the float tolerance in float mode, where geometric weights meet
+    super-multiplicativity with equality up to rounding.  Also reports
+    whether theta_n/theta^n is non-increasing (the hypothesis under which
+    the special-average machinery applies), using the finite-horizon
+    estimate of theta.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
@@ -231,7 +229,7 @@ def check_regularity(seq: ThetaSeq, mode: str, horizon: int, arithmetic: str = R
     mono = tuple(
         (n + 1, th[n - 1], th[n])
         for n in range(1, horizon)
-        if th[n] > th[n - 1]
+        if not leq(th[n], th[n - 1])
     )
     super_viol = []
     for n in range(1, horizon + 1):
@@ -239,12 +237,21 @@ def check_regularity(seq: ThetaSeq, mode: str, horizon: int, arithmetic: str = R
             idx = n + m if mode == SUM else n * m
             if idx > horizon:
                 continue
-            if th[idx - 1] < th[n - 1] * th[m - 1]:
-                super_viol.append((n, m, th[idx - 1], th[n - 1] * th[m - 1]))
-    theta_lim = max(float(th[n - 1]) ** (1.0 / n) for n in range(1, horizon + 1))
-    cns = [float(th[n - 1]) / theta_lim**n for n in range(1, horizon + 1)]
+            product = th[n - 1] * th[m - 1]
+            if not leq(product, th[idx - 1]):
+                super_viol.append((n, m, th[idx - 1], product))
+    theta_lim, cns = _theta_estimate(th)
     cn_mono = all(leq(b, a) for a, b in zip(cns, cns[1:]))
     return RegularityReport(mode, horizon, mono, tuple(super_viol), cn_mono, theta_lim)
+
+
+def _theta_estimate(th):
+    """(theta, c_n) in floats from theta_1..theta_H: the finite-horizon
+    estimate theta = max over n <= H of theta_n^(1/n), which is the limit
+    lim theta_n^(1/n) for super-multiplicative weights (Fekete), and
+    c_n = theta_n / theta^n."""
+    theta_lim = max(float(t) ** (1.0 / n) for n, t in enumerate(th, start=1))
+    return theta_lim, tuple(float(t) / theta_lim**n for n, t in enumerate(th, start=1))
 
 
 A_TYPE = "A"
@@ -385,15 +392,14 @@ def derived_params(spec: SpaceSpec, horizon: int) -> DerivedParams:
         if isinstance(spec.thetas, LogReciprocal):
             p_est = 1.0
             c_n = tuple(th)
-        theta_lim = max(float(t) ** (1.0 / n) for n, t in enumerate(th, start=1))
+        theta_lim, _ = _theta_estimate(th)
         return DerivedParams(horizon, theta_lim, c_n, q_est, p_est)
     # S-type: theta = lim theta_n^{1/n}; exact for geometric sequences.
     if isinstance(spec.thetas, Geometric):
         theta_lim = spec.scalar(spec.thetas.ratio)
         c_n = tuple(th[n - 1] / theta_lim**n for n in range(1, horizon + 1))
         return DerivedParams(horizon, theta_lim, c_n, None, None, exact_limit=True)
-    theta_lim = max(float(t) ** (1.0 / n) for n, t in enumerate(th, start=1))
-    c_n = tuple(float(th[n - 1]) / theta_lim**n for n in range(1, horizon + 1))
+    theta_lim, c_n = _theta_estimate(th)
     return DerivedParams(horizon, theta_lim, c_n, None, None)
 
 

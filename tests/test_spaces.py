@@ -6,7 +6,8 @@ import pytest
 
 import tsirelson as t
 from tsirelson.errors import IrrationalInRationalMode, ParseError
-from tsirelson.spaces import PRODUCT, SUM, parse_explicit_file, theta_sup_from
+from tsirelson.records import Record
+from tsirelson.spaces import PRODUCT, SUM, DerivedParams, parse_explicit_file, theta_sup_from
 
 
 def exhaustive_regularized(values, mode, n, max_terms=6):
@@ -56,6 +57,40 @@ class TestTheta:
         seq = t.ExplicitSeq((Fraction(1, 10), Fraction(1, 2)), Fraction(1, 2))
         assert theta_sup_from(seq, 1, "rational") == Fraction(1, 2)
         assert theta_sup_from(seq, 3, "rational") == Fraction(1, 4)
+
+
+# (sequence, decreasing, arithmetics in which every weight is defined)
+BUILTIN_SEQUENCES = [
+    (t.Geometric(Fraction(1, 2)), True, ("rational", "float64")),
+    (t.Geometric(Fraction(2, 3)), True, ("rational", "float64")),
+    (t.Geometric(Fraction(9, 10)), True, ("rational", "float64")),
+    (t.PowerLaw(2), True, ("float64",)),
+    (t.PowerLaw(2.5), True, ("float64",)),
+    (t.ScaledPowerLaw(0.5, 2), True, ("float64",)),
+    (t.LogReciprocal(), True, ("float64",)),
+    (
+        t.ExplicitSeq((Fraction(1, 10), Fraction(1, 2), Fraction(1, 3)), Fraction(1, 2)),
+        False,
+        ("rational", "float64"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "seq, decreasing, arithmetic",
+    [(seq, dec, a) for seq, dec, modes in BUILTIN_SEQUENCES for a in modes],
+    ids=lambda v: repr(v) if isinstance(v, Record) else str(v),
+)
+def test_tail_sup_bounds_every_later_weight(seq, decreasing, arithmetic):
+    """The engine's stop rule and cutoff certificate take theta_sup_from(n)
+    as a bound of every weight from n on."""
+    for n in range(1, 65):
+        sup = theta_sup_from(seq, n, arithmetic)
+        assert type(sup) is (Fraction if arithmetic == "rational" else float)
+        for m in range(n, n + 65):
+            assert sup >= t.theta(seq, m, arithmetic), (n, m)
+        if decreasing:
+            assert sup == t.theta(seq, n, arithmetic), n
 
 
 class TestRegularize:
@@ -123,14 +158,45 @@ class TestCheckRegularity:
         report = t.check_regularity(seq, SUM, 2)
         assert report.regular
 
+    @pytest.mark.parametrize("arithmetic", ["rational", "float64"])
+    @pytest.mark.parametrize("ratio", ["1/3", "1/2", "2/3", "5/7", "3/4", "9/10"])
+    def test_geometric_regular_in_both_arithmetics(self, ratio, arithmetic):
+        # theta_{n+m} = theta_n * theta_m holds with equality, so in floats
+        # one ulp of rounding must not count as a violation
+        report = t.check_regularity(t.Geometric(Fraction(ratio)), SUM, 12, arithmetic)
+        assert report.regular
+        assert report.cn_nonincreasing
+
+    def test_float_violation_is_still_reported(self):
+        seq = t.ExplicitSeq((Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)), Fraction(1, 2))
+        report = t.check_regularity(seq, SUM, 12, "float64")
+        assert report.supermultiplicativity_violations[0] == (2, 3, 0.05, 0.06)
+
 
 class TestDerivedParams:
     def test_geometric_s_type_exact(self):
-        spec = t.preset("geometric-s:1/2")
-        params = t.derived_params(spec, 6)
-        assert params.theta_limit_estimate == Fraction(1, 2)
-        assert params.exact_limit
-        assert all(c == 1 for c in params.c_n)
+        for ratio in ("1/2", "2/3", "9/10"):
+            params = t.derived_params(t.preset(f"geometric-s:{ratio}"), 6)
+            assert params.theta_limit_estimate == Fraction(ratio)
+            assert type(params.theta_limit_estimate) is Fraction
+            assert params.exact_limit
+            assert params.c_n == (1,) * 6
+            assert all(type(c) is Fraction for c in params.c_n)
+
+    def test_single_family(self):
+        params = t.derived_params(t.preset("tsirelson"), 8)
+        assert params == DerivedParams(8, Fraction(1, 2), (1,), None, None, exact_limit=True)
+
+    def test_non_geometric_s_ladder_estimates_the_limit(self):
+        # theta_n^(1/n) is 1/3, then 1/2 from n = 2 on: theta = 1/2 and
+        # c_n = theta_n / theta^n is 2/3, then 1
+        spec = t.SpaceSpec("S", thetas=t.ExplicitSeq((Fraction(1, 3), Fraction(1, 4)), Fraction(1, 2)))
+        params = t.derived_params(spec, 8)
+        assert not params.exact_limit
+        assert params.theta_limit_estimate == pytest.approx(0.5, rel=1e-15)
+        assert params.c_n == pytest.approx((2 / 3,) + (1.0,) * 7, rel=1e-15)
+        assert all(type(c) is float for c in params.c_n)
+        assert (params.q_estimate, params.p_estimate) == (None, None)
 
     def test_tzafriri_constant_cn(self):
         spec = t.preset("tzafriri:9/10")
