@@ -3,6 +3,7 @@ checkout and a git ref, and report every difference in the results.
 
     python scripts/norm_identity.py HEAD~1 --rounds 60 --seed 20081227
     python scripts/norm_identity.py HEAD~1 --rounds 60 --inner-ak 2,3
+    python scripts/norm_identity.py HEAD~1 --admissible 'S2,S1[A2],A2[S1]'
 
 The ref is exported with ``git archive`` into a temporary directory.  The
 inputs of each round are the ones ``benchmarks/workloads.py`` draws for
@@ -14,10 +15,13 @@ also replayed with the same vector and each listed inner A_k (labelled
 ``with A<k>``).  Each tree then runs
 ``norm`` on all of them in a fresh interpreter, against its own ``src``,
 and the value and its type, the witness, ``max_n_explored`` and
-``cutoff_bound`` are compared.  Prints one line per difference, a
-summary, and per preset the engine's work counters (``_Engine.stats``:
-``cells``, ``skips``, ``row_fills``) summed over the calls in each tree,
-or ``n/a`` for a tree whose engine keeps no counters.  Exits 1 when any
+``cutoff_bound`` are compared.  With ``--admissible``, each tree also
+runs ``admissible_sum`` over each listed family on every vector, and the
+value, its type and the pieces are compared (labelled ``admissible <F>``).
+Prints one line per difference, a summary, and per preset the engine's
+work counters (``_Engine.stats``: ``cells``, ``skips``, ``row_fills``) of
+the norm calls summed in each tree, or ``n/a`` for a tree whose engine
+keeps no counters.  Exits 1 when any
 result differs; the counters do not count.
 """
 
@@ -64,9 +68,22 @@ def draw(rounds: int, seed: int, workdir: Path, inner_ak=()) -> list:
     return cases
 
 
-def evaluate(cases_file: str) -> None:
+def _admissible(space, x, families) -> dict:
+    """``admissible_sum`` over each family text: value, its type and pieces."""
+    import tsirelson as t
+    from tsirelson.scalars import render_scalar
+
+    out = {}
+    for text in families:
+        result = t.admissible_sum(space, x, t.parse_family(text))
+        out[text] = [render_scalar(result.value), type(result.value).__name__, result.pieces]
+    return out
+
+
+def evaluate(cases_file: str, admissible=()) -> None:
     """Print the results of the cases in ``cases_file`` as JSON, with the
-    package on the interpreter's path."""
+    package on the interpreter's path; with ``admissible`` also those of
+    ``admissible_sum`` over these family texts."""
     from fractions import Fraction
 
     import tsirelson as t
@@ -93,6 +110,7 @@ def evaluate(cases_file: str) -> None:
         row["value type"] = type(result.value).__name__
         stats = [getattr(e, "stats", None) for e in filled]
         row["stats"] = None if None in stats else {k: sum(s[k] for s in stats) for k in COUNTERS}
+        row["admissible"] = _admissible(space, x, admissible)
         out.append(row)
     json.dump(out, sys.stdout)
 
@@ -104,10 +122,12 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=20081227)
     p.add_argument("--inner-ak", type=_ks, default=(), metavar="K,K,...",
                    help="also replay each S-type call with these inner A_k")
+    p.add_argument("--admissible", type=_families, default=(), metavar="F,F,...",
+                   help="also compare admissible_sum over these families on each vector")
     p.add_argument("--evaluate", metavar="CASES", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.evaluate:
-        evaluate(args.evaluate)
+        evaluate(args.evaluate, args.admissible)
         return 0
     if args.ref is None:
         p.error("a git ref is required")
@@ -121,29 +141,42 @@ def main(argv=None) -> int:
         for tree in (ROOT, export(args.ref, tmp)):
             env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
             proc = subprocess.run(
-                [sys.executable, str(Path(__file__).resolve()), "--evaluate", str(cases_file)],
+                [sys.executable, str(Path(__file__).resolve()), "--evaluate", str(cases_file),
+                 "--admissible", ",".join(args.admissible)],
                 cwd=tree, env=env, capture_output=True, text=True, check=True,
             )
             results.append(json.loads(proc.stdout))
-    differ = 0
+    differ = admissible_differ = 0
     for case, ours, theirs in zip(cases, *results):
         diffs = [name for name in FIELDS if ours[name] != theirs[name]]
         if diffs:
             differ += 1
             print(f"{case['label']}: {', '.join(diffs)} differ")
+        for text in args.admissible:
+            if ours["admissible"][text] != theirs["admissible"][text]:
+                admissible_differ += 1
+                print(f"{case['label']}: admissible {text} differs")
     print(f"{len(cases)} norm calls at seed {args.seed}, {differ} differ "
           f"(this checkout against {args.ref})")
+    if args.admissible:
+        print(f"{len(cases) * len(args.admissible)} admissible_sum calls "
+              f"({', '.join(args.admissible)}), {admissible_differ} differ")
     print(f"work summed per preset ({', '.join(COUNTERS)}), this checkout | {args.ref}:")
     kinds = [case["label"].split(" ", 2)[2] for case in cases]
     for kind in dict.fromkeys(kinds):
         sums = [_summed(row for k, row in zip(kinds, rows) if k == kind) for rows in results]
         print(f"  {kind}: {' | '.join(sums)}")
-    return 1 if differ else 0
+    return 1 if differ or admissible_differ else 0
 
 
 def _ks(text: str) -> tuple:
     """A comma-separated list of inner A_k indices."""
     return tuple(int(k) for k in text.split(","))
+
+
+def _families(text: str) -> tuple:
+    """A comma-separated list of family expressions."""
+    return tuple(family for family in text.split(",") if family)
 
 
 def _summed(rows) -> str:

@@ -261,7 +261,7 @@ def estimate_domination(
     1-unconditional: each distinct pattern's ratio is computed once.
     """
     from .norm import norm
-    from .vectors import sum_vectors
+    from .vectors import pattern_sums
 
     if len(ys) != len(zs):
         raise LengthMismatch(f"{len(ys)} blocks vs {len(zs)}")
@@ -278,16 +278,7 @@ def estimate_domination(
             keep = rng.sample(range(m), rng.randint(1, m))
             patterns.append(tuple(1 if i in keep else 0 for i in range(m)))
     best = 0.0
-    seen = set()
-    for a in patterns:
-        key = tuple(map(abs, a))
-        if key in seen or all(v == 0 for v in a):
-            continue
-        seen.add(key)
-        y = sum_vectors([ys[i].scale(a[i]) for i in range(m) if a[i] != 0])
-        z = sum_vectors([zs[i].scale(a[i]) for i in range(m) if a[i] != 0])
-        if not y or not z:
-            continue
+    for _, (y, z) in pattern_sums(patterns, ys, zs):
         ratio = float(norm(space, z).value) / float(norm(space, y).value)
         best = max(best, ratio)
     return best

@@ -29,7 +29,7 @@ from .errors import (
 from .records import Record
 from .scalars import close, leq
 from .spaces import SpaceSpec, derived_params
-from .vectors import SparseVector, sum_vectors
+from .vectors import SparseVector, pattern_sums, sum_vectors
 
 if TYPE_CHECKING:
     from .trees import TreeFunctional
@@ -86,15 +86,7 @@ def estimate_equiv_const(
                 tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(m))
             )
     best = 1.0
-    seen = set()
-    for a in patterns:
-        key = tuple(map(abs, a))
-        if key in seen or all(v == 0 for v in a):
-            continue
-        seen.add(key)
-        combo = sum_vectors([blocks[i].scale(a[i]) for i in range(m) if a[i] != 0])
-        if not combo:
-            continue
+    for a, (combo,) in pattern_sums(patterns, blocks):
         nrm = float(norm(space, combo).value)
         lr = SparseVector.from_pairs(enumerate(a, 1)).ellp(r)
         if nrm == 0 or lr == 0:

@@ -7,6 +7,12 @@ them are hereditary (closed under subsets), spreading (closed under
 coordinatewise right shifts) and compact, which is what the decision
 procedures below exploit.
 
+``chain`` and ``budget`` are the one statement of a family's levels, which
+the norm engine, ``maximal_member`` and the random functionals of
+``generators`` all read: a family is a chain of ``A_n`` and ``S_1``
+levels, and a level admits at most n pieces (``A_n``) or as many pieces as
+its first element (``S_1``).
+
 Membership is decided left to right by a pushed state: each family is
 compiled once into a transition program, and pushing an element onto the
 state of a member gives the state of the extended set, or None once that
@@ -87,6 +93,27 @@ class Compose(Record):
 
 
 FamilyExpr = Union[An, Sn, Compose]
+
+
+def chain(family: FamilyExpr) -> Tuple[FamilyExpr, ...]:
+    """The levels of the family, outermost first, each ``A_n`` or ``S_1``.
+
+    Compositions are flattened, which is sound because composition is
+    associative; ``S_0`` gives no level and ``S_n`` gives n levels of
+    ``S_1``, as S_n = S_1[S_{n-1}].  The empty chain is the singletons."""
+    if isinstance(family, Compose):
+        return chain(family.outer) + chain(family.inner)
+    if isinstance(family, Sn):
+        return (Sn(1),) * family.n
+    if isinstance(family, An):
+        return (family,)
+    raise TypeError(f"not a family: {family!r}")
+
+
+def budget(level: FamilyExpr, first: int) -> int:
+    """The most pieces a level of a chain admits when the first piece
+    starts at ``first``: n for ``A_n`` and ``first`` for ``S_1``."""
+    return level.n if isinstance(level, An) else first
 
 
 class Decomposition(Record):
@@ -330,12 +357,12 @@ _MAXIMAL_GUARD = 10**6
 def maximal_member(family: FamilyExpr, start: int) -> FiniteSet:
     """The maximal member made of consecutive integers from ``start``.
 
-    Computed by greedy packing over the family structure and certified by
+    Computed by greedy packing over the family's ``chain`` and certified by
     membership of the result plus non-membership of its one-step extension.
     """
     if start < 1:
         raise ValueError("start must be >= 1")
-    size = _max_run(family, start)
+    size = _max_run(chain(family), start)
     if size > _MAXIMAL_GUARD:
         raise Unbounded(f"maximal consecutive member from {start} exceeds guard")
     run = tuple(range(start, start + size))
@@ -346,30 +373,22 @@ def maximal_member(family: FamilyExpr, start: int) -> FiniteSet:
     return run
 
 
-def _max_run(family: FamilyExpr, start: int) -> int:
-    """Size of the maximal consecutive run from ``start`` inside the family."""
-    if isinstance(family, Sn) and family.n >= 2:
-        family = Compose(Sn(1), Sn(family.n - 1))
-    if isinstance(family, Compose):
-        outer = _program(family.outer)
-        minima = outer[0]
-        pos = start
-        while True:
-            minima = _push(outer, minima, pos)
-            if minima is None:
-                return pos - start
-            pos += _max_run(family.inner, pos)
-            if pos - start > _MAXIMAL_GUARD:
-                raise Unbounded("consecutive run exceeds guard")
-    if isinstance(family, An):
-        return family.n
-    if isinstance(family, Sn):
-        if family.n == 0:
-            return 1
-        if start > _MAXIMAL_GUARD:  # a run of S_1 from `start` has `start` elements
+def _max_run(levels: tuple, start: int) -> int:
+    """Size of the maximal consecutive run from ``start`` in the family of
+    the chain ``levels``: a run of no level is one point, else at most
+    ``budget`` greedy runs of the inner chain, each from where the last
+    ended (a last level's runs are single points)."""
+    if not levels:
+        return 1
+    count = budget(levels[0], start)
+    if len(levels) == 1:
+        return count
+    pos = start
+    for _ in range(count):
+        pos += _max_run(levels[1:], pos)
+        if pos - start > _MAXIMAL_GUARD:
             raise Unbounded("consecutive run exceeds guard")
-        return start
-    raise TypeError(f"not a family: {family!r}")
+    return pos - start
 
 
 # Deepest family ``parse_family`` accepts: ``S_n`` counts n levels (``S_0``

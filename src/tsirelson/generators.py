@@ -75,12 +75,9 @@ def _admissible_split_count(space: SpaceSpec, coords: Tuple[int, ...], rng) -> T
         if cap < 2:
             return 0, 0
         return rng.randint(1, 3), rng.randint(2, cap)
-    # single family
-    fam = space.single_family
-    if isinstance(fam, families.An):
-        cap = min(fam.n, m)
-    else:
-        cap = min(coords[0], m)
+    # single family: any pieces up to the budget of its outermost level
+    levels = families.chain(space.family_for_index(1))
+    cap = min(families.budget(levels[0], coords[0]), m) if levels else 1
     if cap < 2:
         return 0, 0
     return 1, rng.randint(2, cap)
@@ -96,7 +93,8 @@ def random_valid_functional(
     """A random member of the space's norming set with support = coords.
 
     Splits always put the k pieces' minima in an S_1 (hence every S_n) or
-    A_n set, so no rejection sampling is needed.
+    A_n set, the outermost level of a single family, so no rejection
+    sampling is needed.
     """
     if len(coords) == 1 or rng.random() < leaf_prob:
         if len(coords) == 1:

@@ -21,20 +21,19 @@ The DP state is a support-index interval [i, j).  ``D[i][j]`` is the norm of
 x restricted to it, filled with j ascending and i descending, so that every
 proper sub-interval is final when [i, j) is reached.
 
-Chains.  A family is expanded into a chain of levels: compositions are
-flattened, ``S_0`` is dropped and ``S_n`` becomes ``S_1`` over ``S_{n-1}``.
-A level partitions an interval into at most ``budget`` groups (n for
-``A_n``, the first coordinate for ``S_1``), each group partitioned by the
-inner chain; the innermost pieces are worth their ``D`` value.  With
-``C_k(a)`` the best sum over partitions of [a, j) into exactly k inner-chain
-groups, ``C_1(a)`` is the inner chain's own value on [a, j) and
-``C_k(a) = max_e A[a][e] + C_{k-1}(e)`` (first maximizing split e).  The
-families are hereditary and spreading, so splitting a group never lowers a
-sum (triangle inequality on restrictions; the halves keep admissible
-minima): ``C_k(a)`` is nondecreasing in k, and a level's value on [i, j) is
-``C_K(i)`` at the group cap ``K = min(budget, j - i)``.  When the
-all-singletons partition is admissible it is optimal (every piece is worth
-at most its l1 norm), and the level's value is the l1 norm.  The level
+Chains.  A family is expanded into its chain of levels (``families.chain``).
+A level partitions an interval into at most ``budget`` groups (the
+``families.budget`` of the level at the interval's first coordinate), each
+group partitioned by the inner chain; the innermost pieces are worth their
+``D`` value.  With ``C_k(a)`` the best sum over partitions of [a, j) into
+exactly k inner-chain groups, ``C_1(a)`` is the inner chain's own value on
+[a, j) and ``C_k(a) = max_e A[a][e] + C_{k-1}(e)`` (first maximizing
+split e).  The families are hereditary and spreading, so splitting a group
+never lowers a sum (triangle inequality on restrictions; the halves keep
+admissible minima): ``C_k(a)`` is nondecreasing in k, and a level's value
+on [i, j) is ``C_K(i)`` at the group cap ``K = min(budget, j - i)``.  When
+the all-singletons partition is admissible it is optimal (every piece is
+worth at most its l1 norm), and the level's value is the l1 norm.  The level
 takes it on [i, j) for j up to ``fast[i]``: the end of at most ``budget``
 greedy runs from i, each to the inner chain's ``fast`` limit (a run over
 the base is one point), at most m.  The families are hereditary, so
@@ -211,20 +210,6 @@ STATS = ("cells", "skips", "row_fills", "reads")
 # decisions of D[i][j] that are not nodes
 _LEAF = 0
 _SUFFIX = 1
-
-
-def _normalize(stack: tuple) -> tuple:
-    """Flatten a leading composition and drop a leading S_0 until the head
-    is A_n or S_n with n >= 1 (or the stack is empty)."""
-    while stack:
-        head = stack[0]
-        if isinstance(head, families.Compose):
-            stack = (head.outer, head.inner) + stack[1:]
-        elif isinstance(head, families.Sn) and head.n == 0:
-            stack = stack[1:]
-        else:
-            break
-    return stack
 
 
 class _Level:
@@ -461,19 +446,15 @@ class _Engine:
     # -- chains --------------------------------------------------------------
 
     def _level(self, stack: tuple) -> _Level:
-        stack = _normalize(stack)
-        level = self._levels.get(stack)
+        """The level of the families ``stack``, composed outermost first,
+        shared by every stack with the same ``families.chain``."""
+        key = sum(map(families.chain, stack), ())
+        level = self._levels.get(key)
         if level is None:
-            head, rest = stack[0], stack[1:]
-            if isinstance(head, families.An):
-                budgets = [head.n] * self.m
-                inner = rest
-            else:  # Sn(n), n >= 1
-                budgets = self.coords
-                inner = ((families.Sn(head.n - 1),) + rest) if head.n >= 2 else rest
-            inner = self._level(inner)
+            budgets = [families.budget(key[0], c) for c in self.coords]
+            inner = self._level(key[1:])
             level = _Level(budgets, inner, self._fast_limits(budgets, inner))
-            self._levels[stack] = level
+            self._levels[key] = level
         return level
 
     def _fast_limits(self, budgets, inner: _Level) -> List[int]:

@@ -127,6 +127,8 @@ def theta(seq: ThetaSeq, n: int, arithmetic: str = RATIONAL):
 
 def _power_theta(c, q, n, exact):
     if exact:
+        if isinstance(c, float):
+            raise IrrationalInRationalMode(f"the scale {c!r} is a float; use float mode")
         if isinstance(q, int) or float(q).is_integer():
             root = integer_root(n, int(q))
             if root is not None:

@@ -28,8 +28,7 @@ class SparseVector(Record):
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[int, object]]) -> "SparseVector":
-        cleaned = [(c, v) for c, v in pairs if v != 0]
-        cleaned.sort(key=lambda cv: cv[0])
+        cleaned = sorted(((c, v) for c, v in pairs if v != 0), key=lambda cv: cv[0])
         return cls(tuple(cleaned))
 
     @classmethod
@@ -66,9 +65,7 @@ class SparseVector(Record):
         return SparseVector(tuple((c, v) for c, v in self.entries if c in keep))
 
     def sup_norm(self):
-        if not self.entries:
-            return 0
-        return max(abs(v) for _, v in self.entries)
+        return max((abs(v) for _, v in self.entries), default=0)
 
     def ell1(self):
         return sum((abs(v) for _, v in self.entries), start=0)
@@ -91,6 +88,21 @@ def sum_vectors(vectors: Iterable[SparseVector]) -> SparseVector:
         for c, value in v.entries:
             total[c] = total.get(c, 0) + value
     return SparseVector.from_pairs(total.items())
+
+
+def pattern_sums(patterns, *sequences):
+    """Yield ``(a, sums)`` for the first pattern ``a`` of each |a|, where
+    ``sums[k]`` is the sum of ``a[i] * sequences[k][i]`` over i; a pattern
+    with a zero sum, the zero pattern among them, is skipped.  Under a
+    1-unconditional norm on successive vectors, a repeated |a| repeats
+    every norm."""
+    firsts = {}
+    for a in patterns:
+        firsts.setdefault(tuple(map(abs, a)), a)
+    for a in firsts.values():
+        sums = [sum_vectors([v.scale(c) for v, c in zip(seq, a) if c != 0]) for seq in sequences]
+        if all(sums):
+            yield a, sums
 
 
 def parse_vector(text: str, arithmetic: str = "rational") -> SparseVector:

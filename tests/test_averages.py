@@ -7,6 +7,7 @@ import tsirelson as t
 from tsirelson import averages as av
 from tsirelson.errors import HypothesisViolated, InsufficientPool
 from tsirelson.norm import norm
+from tsirelson.vectors import pattern_sums
 
 from conftest import random_partition_instance
 
@@ -54,6 +55,18 @@ class TestLrAverages:
         report = av.check_lr_average_bounds(TSIRELSON, x, c_est, 1, N=16, M=2)
         assert report.all_pass
         assert report.rows[0].values["value"] == pytest.approx(1.0)
+
+
+def test_pattern_sums_walks_each_absolute_pattern_once():
+    e = [t.SparseVector.basis(c) for c in (1, 2)]
+    ys, zs = e, [e[0], e[0].scale(-1)]
+    patterns = [(1, 0), (-1, 0), (0, 0), (1, 1), (2, -1), (-2, 1)]
+    walked = [(a, tuple(sums)) for a, sums in pattern_sums(patterns, ys, zs)]
+    # (-1, 0) and (-2, 1) repeat an |a|, (0, 0) is zero and (1, 1) sums zs to 0
+    assert walked == [
+        ((1, 0), (e[0], e[0])),
+        ((2, -1), (t.SparseVector(((1, 2), (2, -1))), t.SparseVector.basis(1, 3))),
+    ]
 
 
 class TestAveragingTree:

@@ -260,6 +260,26 @@ class TestMaxWeight:
             assert t.max_weight_subset(fam, weights) == (best[2], -best[0]), (text, weights)
 
 
+class TestChain:
+    def test_schreier_orders_expand_to_s1_levels(self):
+        for text in ("S3", "S2[S1]", "S1[S2]"):
+            assert families.chain(t.parse_family(text)) == (t.Sn(1),) * 3, text
+
+    def test_s0_has_no_level(self):
+        assert families.chain(t.Sn(0)) == ()
+        assert families.chain(t.parse_family("S0[A2][S0]")) == (t.An(2),)
+
+    def test_composition_is_flattened_associatively(self):
+        a, b, c = t.An(2), t.Sn(2), t.parse_family("A3[S1]")
+        left = families.chain(t.Compose(t.Compose(a, b), c))
+        assert left == families.chain(t.Compose(a, t.Compose(b, c)))
+        assert left == (t.An(2), t.Sn(1), t.Sn(1), t.An(3), t.Sn(1))
+
+    def test_budget(self):
+        assert [families.budget(t.An(3), first) for first in (1, 7)] == [3, 3]
+        assert [families.budget(t.Sn(1), first) for first in (1, 7)] == [1, 7]
+
+
 class TestMaximalMember:
     def test_s1_saturates_at_start(self):
         assert t.maximal_member(t.Sn(1), 4) == (4, 5, 6, 7)
@@ -282,6 +302,19 @@ class TestMaximalMember:
     def test_s2_run_size(self, start):
         # `start` successive S_1 runs, each as long as its first element
         assert len(t.maximal_member(t.Sn(2), start)) == start * (2**start - 1)
+
+    @pytest.mark.parametrize("text", ["S0", "A3", "S1", "S2", "S1[A2]", "A2[S1]", "A2[A3]", "S1[A2][A3]"])
+    def test_longest_consecutive_member(self, text):
+        family = t.parse_family(text)
+        checked = 0
+        for start in range(1, 7):
+            size = 0
+            while size <= 200 and t.is_member(family, range(start, start + size + 1)):
+                size += 1
+            if size <= 200:
+                assert t.maximal_member(family, start) == tuple(range(start, start + size)), start
+                checked += 1
+        assert checked >= 3
 
     def test_s3_reaches_the_guard_in_few_steps(self, monkeypatch):
         calls = 0

@@ -126,6 +126,24 @@ def _closure(space, coords, depth, max_n):
     return everything
 
 
+class TestRandomValidFunctional:
+    @pytest.mark.parametrize(
+        "text, inner_ak",
+        [("A2[A3]", None), ("A2[A2]", None), ("S0", None), ("S0", 3), ("S1[A3]", None),
+         ("A3[S1]", None), ("S2", None)],
+    )
+    def test_single_family_functionals_are_valid(self, text, inner_ak):
+        # a split takes at most the budget of the family's outermost level
+        space = t.SpaceSpec(
+            "single", single_family=t.parse_family(text), single_theta=Fraction(1, 2),
+            inner_ak=inner_ak,
+        )
+        coords = tuple(range(10, 30))
+        for seed in range(200):
+            f = random_valid_functional(space, random.Random(seed), coords)
+            assert t.validate(space, f) == [], (seed, str(f))
+
+
 class TestSExpr:
     def test_example(self):
         f = t.parse_functional("(n 1 (l + 3) (l + 4))")

@@ -68,6 +68,23 @@ class TestAdmissibleSum:
         result = admissible_sum(TSIRELSON, self.X, t.An(2))
         assert result.value == 2
 
+    SAME_CHAIN = ("S3", "S2[S1]", "S1[S2]")
+
+    def test_equal_chains_share_one_level(self):
+        engine = _Engine(TSIRELSON, self.X)
+        engine._setup()
+        levels = [engine._level((t.parse_family(text),)) for text in self.SAME_CHAIN]
+        assert levels[0] is levels[1] is levels[2]
+        assert engine._level((t.Sn(2), t.Sn(1))) is levels[0]
+
+    @pytest.mark.parametrize("spec", [TSIRELSON, GEOM_S], ids=lambda s: s.name)
+    def test_equal_chains_agree(self, spec):
+        rng = random.Random(f"same-chain:{spec.name}")
+        for _ in range(6):
+            x = random_vector(rng, rng.randint(1, 24), first=rng.randint(1, 4), gap=2)
+            results = {admissible_sum(spec, x, t.parse_family(text)) for text in self.SAME_CHAIN}
+            assert len(results) == 1, results
+
 
 class TestWitness:
     @pytest.mark.parametrize(

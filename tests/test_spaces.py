@@ -45,6 +45,15 @@ class TestTheta:
         with pytest.raises(IrrationalInRationalMode):
             t.theta(seq, 3)
 
+    def test_float_scale_refused_in_rational_mode(self):
+        # 4**(-1/2) is rational, but the float scale 0.5 is not exact
+        seq = t.ScaledPowerLaw(0.5, 2)
+        for weight in (t.theta, theta_sup_from):
+            with pytest.raises(IrrationalInRationalMode, match="float"):
+                weight(seq, 4, "rational")
+        assert t.theta(t.ScaledPowerLaw(Fraction(1, 2), 2), 4) == Fraction(1, 4)
+        assert t.theta(seq, 4, "float64") == 0.25
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             t.Geometric(Fraction(3, 2))
