@@ -4,6 +4,7 @@ checkout and a git ref, and report every difference in the results.
     python scripts/norm_identity.py HEAD~1 --rounds 60 --seed 20081227
     python scripts/norm_identity.py HEAD~1 --rounds 60 --inner-ak 2,3
     python scripts/norm_identity.py HEAD~1 --admissible 'S2,S1[A2],A2[S1]'
+    python scripts/norm_identity.py HEAD~1 --admissible 'S2,S2[S1],S1[A2]' --saturated
 
 The ref is exported with ``git archive`` into a temporary directory.  The
 inputs of each round are the ones ``benchmarks/workloads.py`` draws for
@@ -12,7 +13,10 @@ this checkout draws them once and writes them to a file, with each
 coordinate exact (``p/q``) or as a float's ``repr``.  With ``--inner-ak``,
 each call in an S-type or single-family space without an inner A_k is
 also replayed with the same vector and each listed inner A_k (labelled
-``with A<k>``).  Each tree then runs
+``with A<k>``).  With ``--saturated``, each of these calls is replayed
+once more with every coordinate shifted right by the support size, so
+that the first coordinate is at least the size and the closed form of
+``saturated`` may answer (labelled ``saturated``).  Each tree then runs
 ``norm`` on all of them in a fresh interpreter, against its own ``src``,
 and the value and its type, the witness, ``max_n_explored`` and
 ``cutoff_bound`` are compared.  With ``--admissible``, each tree also
@@ -44,9 +48,10 @@ FIELDS = ("value", "value type", "witness", "max_n_explored", "cutoff_bound")
 COUNTERS = ("cells", "skips", "row_fills")
 
 
-def draw(rounds: int, seed: int, workdir: Path, inner_ak=()) -> list:
+def draw(rounds: int, seed: int, workdir: Path, inner_ak=(), saturated=False) -> list:
     """The workload's norm calls of rounds 0 .. rounds - 1, as JSON cases,
-    each S-type one followed by its replays with the inner A_k listed."""
+    each S-type one followed by its replays with the inner A_k listed, and
+    with ``saturated`` each of those followed by its shifted replay."""
     sys.path[:0] = [str(ROOT / "benchmarks"), str(ROOT / "src")]
     import workloads
 
@@ -62,9 +67,15 @@ def draw(rounds: int, seed: int, workdir: Path, inner_ak=()) -> list:
                 "inner_ak": space.inner_ak,
                 "entries": [[c, str(v) if space.exact else repr(v)] for c, v in x.entries],
             }
-            cases.append(case)
+            replays = [case]
             if space.kind != "A" and not space.inner_ak:
-                cases += [dict(case, label=f"{case['label']} with A{k}", inner_ak=k) for k in inner_ak]
+                replays += [dict(case, label=f"{case['label']} with A{k}", inner_ak=k) for k in inner_ak]
+            for replay in replays:
+                cases.append(replay)
+                if saturated:
+                    m = len(replay["entries"])
+                    shifted = [[c + m, v] for c, v in replay["entries"]]
+                    cases.append(dict(replay, label=f"{replay['label']} saturated", entries=shifted))
     return cases
 
 
@@ -124,6 +135,8 @@ def main(argv=None) -> int:
                    help="also replay each S-type call with these inner A_k")
     p.add_argument("--admissible", type=_families, default=(), metavar="F,F,...",
                    help="also compare admissible_sum over these families on each vector")
+    p.add_argument("--saturated", action="store_true",
+                   help="also replay each call with its coordinates shifted right by its size")
     p.add_argument("--evaluate", metavar="CASES", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.evaluate:
@@ -134,7 +147,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="norm-identity-") as tmp:
         tmp = Path(tmp)
-        cases = draw(args.rounds, args.seed, tmp, args.inner_ak)
+        cases = draw(args.rounds, args.seed, tmp, args.inner_ak, args.saturated)
         cases_file = tmp / "cases.json"
         cases_file.write_text(json.dumps(cases))
         results = []

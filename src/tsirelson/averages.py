@@ -286,6 +286,8 @@ def tree_from_dict(data: dict, exact: bool = True) -> AveragingTree:
     scalar = Fraction if exact else float
 
     def number(text):
+        if not isinstance(text, str):
+            raise ParseError(f"not an averaging tree: the number {text!r} is not a string")
         return scalar(parse_scalar(text))
 
     try:

@@ -20,7 +20,7 @@ from fractions import Fraction
 # package: ``audit`` only for ``audit``, ``avg`` and ``scc`` (through
 # ``averages``).
 from .errors import HypothesisViolated, OverBudget, ParseError, SupportTooLarge, TsirelsonError
-from .scalars import render_scalar
+from .scalars import parse_scalar, render_scalar
 
 
 def _load_space(args):
@@ -113,7 +113,7 @@ def _cmd_family(args) -> int:
     weights = {}
     for part in args.weights.split(","):
         coord, _, w = part.partition(":")
-        weights[int(coord)] = Fraction(w)
+        weights[int(coord)] = parse_scalar(w)
     subset, value = families.max_weight_subset(fam, weights)
     payload = {"set": list(subset), "value": render_scalar(value)}
     _emit(args, payload, f"set = {list(subset)} value = {render_scalar(value)}")
@@ -146,7 +146,7 @@ def _cmd_scc(args) -> int:
     from . import averages
 
     if args.scc_cmd == "build":
-        scc = averages.build_scc(args.level, Fraction(args.epsilon), args.start)
+        scc = averages.build_scc(args.level, parse_scalar(args.epsilon), args.start)
         payload = {
             "j": scc.j,
             "epsilon": render_scalar(scc.epsilon),
@@ -164,7 +164,7 @@ def _cmd_scc(args) -> int:
             tuple(data["support"]),
             tuple(Fraction(a) for a in data["coefficients"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         message = f"not a special convex combination: {type(exc).__name__}: {exc}"
         raise ParseError(message) from None
     if not isinstance(scc.j, int) or len(scc.support) != len(scc.coefficients):
@@ -234,7 +234,7 @@ def _cmd_audit(args) -> int:
         from . import averages
 
         spec = _load_space(args)
-        report = averages.audit_tav(spec, _averaging_tree(args, spec), Fraction(args.delta))
+        report = averages.audit_tav(spec, _averaging_tree(args, spec), parse_scalar(args.delta))
     else:  # domination, the last suite the parser admits
         spec = _load_space(args)
         ys = [_load_vector(p, spec) for p in args.ys]
@@ -256,7 +256,7 @@ def _averaging_tree(args, spec, **leaf_budget):
         spec,
         averages.basis_pool(),
         args.levels,
-        Fraction(args.epsilon),
+        parse_scalar(args.epsilon),
         relaxed_scale=args.relaxed,
         **leaf_budget,
     )

@@ -328,6 +328,9 @@ def make_comparable(
     if restricted is None:
         coord, value = blocks[0].entries[0]
         return Leaf(1 if value >= 0 else -1, coord)
+    family = space.single_family
+    if space.kind == SINGLE and not isinstance(family, (families.An, families.Sn)):
+        raise ValueError(f"the surgery needs a ladder or a single A_n or S_n family, not {family}")
     if constant == 6:
         result = _comparable_atype(space, restricted, blocks)
     else:

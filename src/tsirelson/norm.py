@@ -149,13 +149,13 @@ root [0, m), the certificate ``tail_n * ||x||_1``; a one-point support,
 whose root no loop reaches, takes the certificate of n = 2.
 
 Saturated supports.  When the first coordinate is at least the support
-size, every level is in its all-singletons case on every interval, and in
-an S-ladder or a single S_n space whose weights past the first stay at or
-below theta_1 the norm is ``max(||x||_inf, theta_1 ||x||_1)`` on every
-interval.  ``saturated.solve`` then answers ``norm``, ``admissible_sum``
-(S_n families) and the interval tables from ``saturated.Saturated`` in
-O(m), with the engine's witness, ``max_n_explored`` and cutoff
-certificate; everything else fills the engine.
+size, every chain that leads with S_1 is in its all-singletons case on
+every interval.  Where ``saturated.applies`` says so, the norm is then
+``max(||x||_inf, theta_1 ||x||_1)`` on every interval, and
+``saturated.solve`` answers ``norm``, ``admissible_sum`` and the interval
+tables from ``saturated.Saturated`` in O(m), with the engine's witness,
+``max_n_explored`` and cutoff certificate; everything else fills the
+engine.
 
 ``brute_norm`` is an independent oracle that enumerates tree functionals
 over the support directly.
@@ -803,10 +803,12 @@ class _Engine:
 
 
 # the largest support the ``norm`` and ``witness`` commands take; the fill
-# grows as about m^4, and at 224 points the slowest preset at its default
-# parameters, geometric-s:1/2 (with an inner A_3), took 24 s (28 s) on a
-# 2-vCPU Xeon.  Weights that decay more slowly explore more levels and cost
-# more per point.
+# grows as about m^4.  At 224 points, on a flat vector (coordinates 1..224,
+# all ones) and on ``random_vector(first=1, gap=3)``, geometric-s:1/2 took
+# 3.5 s and 4.5 s (2.6 s and 5.0 s with an inner A_3) on a 2-vCPU Xeon.
+# Weights that decay more slowly explore more levels and cost more per
+# point: geometric-s:9/10 took 6.0 s on both at 128 points, and 100 s and
+# 116 s at 224.
 NORM_SUPPORT_BOUND = 224
 
 

@@ -1,15 +1,18 @@
 """The norm on a saturated support, in closed form.
 
 A support is saturated when its first coordinate is at least its size m.
-Every subset of it then has at most m <= min elements, so it is an
-S_1 set and a member of every S_n (n >= 1) and of every S_n[A_k]: at
-every level of every chain, on every interval, the all-singletons
-partition is admissible, and the engine takes the level's value to be
-the interval's l1 norm ell(i, j) (see Chains in ``norm``).  So
-``D[i][j] = max(D[i+1][j], |x_i|, theta_n * ell(i, j) for the n the
-weight loop reaches)``.  When theta_n <= theta_1 for every n >= 2
-(``theta_tail_sup(2) <= theta_1``), the loop explores n = 1 at most and
-stops by n = 2, so
+A family whose chain (``families.chain``) leads with S_1, such as S_n,
+S_n[A_k], S_1[A_k] or S_2[S_1], then admits the all-singletons partition
+of every interval: the outer S_1 level allows coords[i] >= m pieces from
+any position i, and every singleton lies in every family.  The engine
+takes such a level's value to be the interval's l1 norm ell(i, j) (see
+Chains in ``norm``), and no partition exceeds it.  A chain led by A_n
+caps its pieces at n and does not qualify.
+
+When the space's first family leads with S_1 and theta_n <= theta_1 for
+every n >= 2 (``theta_tail_sup(2) <= theta_1``), the weight loop explores
+n = 1 at most and stops by n = 2, so ``D[i][j] = max(D[i+1][j], |x_i|,
+theta_1 * ell(i, j))``, that is
 
     D[i][j] = max(max |x| on [i, j), theta_1 * ell(i, j)).
 
@@ -18,7 +21,7 @@ adds them; they are nondecreasing and rounding is monotone, so a suffix
 never reads a larger l1 norm and the identity holds bit for bit.  The
 witness and the cutoff certificate replay the engine's decisions on the
 column of the right end m, which need ``D[i+1][m]`` only.  A family
-level S_n (n >= 1) is worth ell(i, j) with singleton pieces.
+whose chain leads with S_1 is worth ell(i, j) with singleton pieces.
 
 ``solve`` answers from the closed form when ``applies`` says that it gives
 the engine's results, and from a filled engine otherwise; ``norm``,
@@ -31,25 +34,20 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from . import families
-from .spaces import S_TYPE, SINGLE, SpaceSpec
+from .spaces import SpaceSpec
 from .trees import Leaf, Node, TreeFunctional
 from .vectors import SparseVector
 
 
 def applies(space: SpaceSpec, x: SparseVector, fams) -> bool:
     """Whether the closed form gives the engine's results: a saturated
-    support, an S-ladder or a single S_n space with n >= 1 whose later
-    weights stay at or below theta_1, and S_n families only."""
+    support, a space whose first family and every family of ``fams`` lead
+    with S_1 in their chains, and later weights at or below theta_1."""
     coords = x.support
     if not coords or coords[0] < len(coords):
         return False
-    if not all(isinstance(f, families.Sn) and f.n >= 1 for f in fams):
-        return False
-    if space.kind == SINGLE:
-        fam = space.single_family
-        if not (isinstance(fam, families.Sn) and fam.n >= 1):
-            return False
-    elif space.kind != S_TYPE:
+    lead = (families.Sn(1),)
+    if any(families.chain(f)[:1] != lead for f in (space.family_for_index(1), *fams)):
         return False
     return space.theta_tail_sup(2) <= space.theta_for_index(1)
 

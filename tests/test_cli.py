@@ -202,6 +202,25 @@ class TestCommands:
         assert code == 1
         assert "make_comparable needs a valid functional" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["S1[A2]", "A2[A3]"])
+    def test_comparable_in_a_composed_single_family_space(self, family, tmp_path, capsys):
+        config = tmp_path / "space.cfg"
+        config.write_text(f"kind = single\nsingle_family = {family}\nsingle_theta = 1/3\n")
+        (tmp_path / "b1.vec").write_text("4\t1\n")
+        (tmp_path / "b2.vec").write_text("5\t1\n6\t1\n")
+        blocks = [str(tmp_path / "b1.vec"), str(tmp_path / "b2.vec")]
+        argv = ["comparable", "--space", str(config), "--blocks", *blocks, "--functional"]
+        # the inner node meets the second block in 5 but not 6: surgery needed
+        code = run([*argv, "(n 1 (n 1 (l + 4) (l + 5)) (l + 6))"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and family in err and "ladder" in err
+        # already comparable: returned as it is
+        comparable = "(n 1 (l + 4) (n 1 (l + 5) (l + 6)))"
+        code, out = invoke([*argv, comparable], capsys)
+        assert code == 0
+        assert out.strip() == comparable
+
     def test_regularize(self, capsys):
         code, out = invoke(
             ["regularize", "--space", "geometric-s:1/2", "--horizon", "3"], capsys

@@ -11,6 +11,7 @@ configuration files through ``cli.run``.
 import contextlib
 import io
 import itertools
+import json
 import subprocess
 import sys
 import tempfile
@@ -30,6 +31,21 @@ TINY = "1\t1\n2\t-1e-400\n"  # nonzero as a rational, zero as a float
 LARGE = "1\t1e300\n"  # inside the float range
 # an auxiliary S-space with an inner A_3, for ``split``
 XK_CONFIG = "kind = S\ntheta = geometric:1/2\ninner_ak = 3\n"
+
+
+def scc_json(epsilon):
+    """The level-1 special convex combination that ``scc build --epsilon
+    0.3`` writes, with this epsilon."""
+    return json.dumps({"j": 1, "epsilon": epsilon, "support": [4, 5, 6, 7],
+                       "coefficients": ["1/4"] * 4})
+
+
+def tree_json(epsilon, value):
+    """An averaging tree file of depth 1 over two leaves, one of them
+    storing ``value``."""
+    leaves = [{"support": [3], "values": [value]}, {"support": [4], "values": ["1/1"]}]
+    levels = [{"level": 1, "nodes": [{"interval": [1, 2]}]}, {"level": 0, "nodes": leaves}]
+    return json.dumps({"depth": 1, "epsilon": epsilon, "levels": levels, "theta": "1/2"})
 
 
 def nested_a1(depth):
@@ -62,6 +78,23 @@ REFUSED = {
         "5\t1\n",
         ["comparable", "--space", "geometric-s:1/2", "--functional",
          f"(n {MAX_WEIGHT_INDEX + 1} (l + 5))", "--blocks", "{vec}"],
+    ),
+    # a zero denominator on the command line or in a file, and a number
+    # where an averaging tree stores a string
+    "maxweight-zero-denominator": (
+        None, ["family", "maxweight", "--family", "S1", "--weights", "1:1/0,2:3"]
+    ),
+    "scc-build-zero-denominator": (None, ["scc", "build", "--level", "1", "--epsilon", "1/0"]),
+    "avg-build-zero-denominator": (
+        None, ["avg", "build", "--space", "geometric-s:1/2", "--levels", "1", "--epsilon", "1/0"]
+    ),
+    "tav-zero-denominator": (None, ["audit", "tav", "--delta", "1/0"]),
+    "scc-check-zero-denominator": (scc_json("1/0"), ["scc", "check", "--input", "{vec}"]),
+    "avg-check-numeric-epsilon": (
+        tree_json(0.5, "1/1"), ["avg", "check", "--space", "geometric-s:1/2", "--input", "{vec}"]
+    ),
+    "avg-check-numeric-value": (
+        tree_json("1/2", 1), ["avg", "check", "--space", "geometric-s:1/2", "--input", "{vec}"]
     ),
 }
 
@@ -96,6 +129,8 @@ AT_THE_BOUND = {
     "schreier-index-split": (
         None, ["split", "--space", "{cfg}", "--functional", "(n 600 (l + 5) (l + 7))"]
     ),
+    # a numeric epsilon in a combination file is read as that number
+    "scc-check-numeric-epsilon": (scc_json(0.3), ["scc", "check", "--input", "{vec}"]),
     "weight-index-at-bound": (
         "5\t1\n",
         ["comparable", "--space", "geometric-s:1/2", "--functional",

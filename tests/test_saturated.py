@@ -1,11 +1,11 @@
 """The saturated-support closed form against the interval DP run directly.
 
-On a support whose first coordinate is at least its size, in an S-ladder or
-a single S_n space (n >= 1) whose weights past the first stay at or below
-theta_1, ``norm``, ``admissible_sum`` and ``interval_norm_table`` skip the
-DP.  Each case here runs ``_Engine`` itself and compares every output:
-value and its type, witness, ``max_n_explored``, ``cutoff_bound`` and its
-type, the ``admissible_sum`` value and pieces, and the interval table.
+On a support whose first coordinate is at least its size, where
+``saturated.applies`` says so, ``norm``, ``admissible_sum`` and
+``interval_norm_table`` skip the DP.  Each case here runs ``_Engine``
+itself and compares every output: value and its type, witness,
+``max_n_explored``, ``cutoff_bound`` and its type, the ``admissible_sum``
+value, type and pieces, and the interval table.
 """
 
 import random
@@ -22,9 +22,18 @@ GEOM_S = t.preset("geometric-s:1/2")
 EXPLICIT_S = t.SpaceSpec(
     "S", thetas=t.ExplicitSeq((Fraction(3, 5), Fraction(1, 2)), Fraction(2, 3)), name="explicit-s"
 )
+F = t.parse_family
+
+
+def single(family, theta=Fraction(1, 3)):
+    return t.SpaceSpec("single", single_family=F(family), single_theta=theta)
+
+
 SPACES = {
     "tsirelson": t.preset("tsirelson"),
-    "single-S2": t.SpaceSpec("single", single_family=t.Sn(2), single_theta=Fraction(1, 3)),
+    "single-S2": single("S2"),
+    "single-S2[S1]": single("S2[S1]"),
+    "single-S1[A2]": single("S1[A2]", Fraction(2, 5)),
     "geometric-s:1/2": GEOM_S,
     "geometric-s:1/2+A2": GEOM_S.with_inner_ak(2),
     "geometric-s:2/3+A3": t.preset("geometric-s:2/3").with_inner_ak(3),
@@ -55,6 +64,10 @@ def saturated_vector(rng, spec, m, tie=False):
             values[top] = candidate
     signed = [v if rng.random() < 0.6 else -v for v in values]
     return t.SparseVector(tuple(zip(coords, (spec.scalar(v) for v in signed))))
+
+
+# S_1-led families: S_1..S_3 and compositions whose chain leads with S_1
+FAMILIES = tuple(F(f) for f in ("S1", "S2", "S3", "S2[S1]", "S1[S2]", "S1[A2]"))
 
 
 def engine_results(spec, x):
@@ -89,9 +102,11 @@ def test_closed_form_matches_the_engine():
         assert type(result.value) is type(expected[0])
         assert type(result.cutoff_bound) is type(expected[3])
         assert isinstance(result.value, Fraction if spec.exact else float)
-        for j in (1, 2, 3):
-            fam = t.Sn(j)
-            assert admissible_sum(spec, x, fam) == admissible_of(engine, fam), (name, x, j)
+        for fam in FAMILIES:
+            got = admissible_sum(spec, x, fam)
+            want = admissible_of(engine, fam)
+            assert got == want, (name, x, fam)
+            assert type(got.value) is type(want.value)
         theta = spec.theta_for_index(1)
         ell1 = sum(abs(v) for v in x.values)
         if x.sup_norm() == theta * ell1:
@@ -129,8 +144,13 @@ def test_interval_table_matches_the_engine():
         # A-ladders and single A_n spaces are not S-type
         (t.preset("geometric-a:1/2"), t.SparseVector(((5, Fraction(1)), (6, Fraction(2))))),
         (t.preset("ellp:2"), t.SparseVector(((5, 1.0), (6, 2.0)))),
+        # chains led by A_2, and S_0's empty chain
+        (single("A2[S1]"), t.SparseVector(((5, Fraction(1)), (6, Fraction(2)), (7, Fraction(1))))),
+        (single("S0"), t.SparseVector(((5, Fraction(1)), (6, Fraction(2))))),
     ],
-    ids=["theta2-above-theta1", "unsaturated", "a-ladder", "single-a2"],
+    ids=[
+        "theta2-above-theta1", "unsaturated", "a-ladder", "single-a2", "single-a2[s1]", "single-s0"
+    ],
 )
 def test_other_cases_take_the_engine(spec, x):
     assert not applies(spec, x, ())
@@ -152,6 +172,8 @@ def test_only_s_families_take_the_closed_form():
     rng = random.Random(8)
     x = saturated_vector(rng, GEOM_S, 6)
     assert isinstance(solve(GEOM_S, x, (t.Sn(1), t.Sn(3))), Saturated)
-    assert isinstance(solve(GEOM_S, x, (t.An(2),)), _Engine)
+    assert isinstance(solve(GEOM_S, x, (F("S2[S1]"), F("S1[A2]"))), Saturated)
     engine, _ = engine_results(GEOM_S, x)
-    assert admissible_sum(GEOM_S, x, t.An(2)) == admissible_of(engine, t.An(2))
+    for fam in ("A2", "A2[S1]"):
+        assert isinstance(solve(GEOM_S, x, (F(fam),)), _Engine), fam
+        assert admissible_sum(GEOM_S, x, F(fam)) == admissible_of(engine, F(fam)), fam
