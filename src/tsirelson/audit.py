@@ -297,7 +297,7 @@ FLAT_TABLE_MAX_LEN = 1024
 KRIV_LEAF_BUDGET = 300_000
 
 
-def audit_kriv(space: SpaceSpec, N: int, r: int, seed: int = 0, relax: str = "auto") -> AuditReport:
+def audit_kriv(space: SpaceSpec, N: int, r: int, seed: int = 0) -> AuditReport:
     """Construct the block sequence of normalized flat l_r-average candidates
     satisfying the decay conditions and check the universal N^(1/p) bound.
 
@@ -324,10 +324,6 @@ def audit_kriv(space: SpaceSpec, N: int, r: int, seed: int = 0, relax: str = "au
             total = sum(lengths)
             if total <= KRIV_LEAF_BUDGET and (N == 1 or total <= GENERIC_NORM_SUPPORT_CAP):
                 break
-        if relax != "auto":
-            raise BudgetExceeded(
-                f"exact decay conditions do not fit the budget for N={N}"
-            )
         scale *= 10
         if scale > 10**12:
             raise BudgetExceeded("no feasible scale found")

@@ -11,6 +11,7 @@ functionals are imported by the functions that use them, so that the
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -205,6 +206,10 @@ def build_averaging_tree(
     eps = space.scalar(epsilon)
     if not eps > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if M < 0:
+        raise ValueError(f"the tree needs levels >= 0, got {M}")
+    if relaxed_scale is not None and relaxed_scale < 1:
+        raise ValueError(f"the relaxed scale must be positive, got {relaxed_scale}")
     pool_iter = iter(pool)
     counters = {j: 0 for j in range(M + 1)}
     prev_max: dict = {j: None for j in range(M + 1)}
@@ -292,8 +297,8 @@ def tree_from_dict(data: dict, exact: bool = True) -> AveragingTree:
 
     try:
         depth, relaxed = data["depth"], data.get("relaxed_scale")
-        if not (relaxed is None or isinstance(relaxed, int)):
-            raise ParseError("relaxed_scale must be an integer")
+        if not (relaxed is None or isinstance(relaxed, int) and relaxed > 0):
+            raise ParseError("relaxed_scale must be a positive integer")
         by_level = {entry["level"]: entry["nodes"] for entry in data["levels"]}
         current = []
         for leaf in by_level[0]:
@@ -429,13 +434,27 @@ class SCC(Record):
     coefficients: Tuple[object, ...]
 
 
+# the largest support ``build_scc`` builds: from a start s, a level-1
+# combination has s points and a level-2 one s * (2**s - 1), s greedy S_1
+# runs each twice as long as the last
+SCC_SUPPORT_BOUND = 100_000
+
+
 def build_scc(j: int, epsilon, start: int) -> SCC:
     """Repeated uniform averaging along maximal consecutive members.
 
     Level 1 puts uniform weights on a maximal S_1 run; level j averages the
     level-(j-1) combinations built on the greedy pieces of a maximal S_j
-    run.  The start advances until the checker confirms the epsilon mass
-    condition.  Levels above 2 explode combinatorially and are rejected.
+    run.  From a start s either level has S_{j-1} mass exactly 1/s: level 1
+    puts 1/s on each point, and level 2 puts 1/(sL) on each point of a
+    greedy piece [L, 2L), so 1/s on the piece, in coefficients that do not
+    increase along the support.  There an S_1 set of t <= s points takes at
+    most t/s^2, and one of t > s points at most the mass of [t, 2t), which
+    meets two adjacent pieces [L, 2L) and [2L, 4L) and takes
+    (2L - t)/(sL) + (t - L)/(sL) = 1/s from them.  So the combination is
+    built at the first s from ``start`` on with s > 1/epsilon, and the
+    checker confirms it.  Levels above 2 explode combinatorially and are
+    rejected, and so is a support past ``SCC_SUPPORT_BOUND`` points.
     """
     if j < 1:
         raise ValueError("scc level must be >= 1")
@@ -444,13 +463,18 @@ def build_scc(j: int, epsilon, start: int) -> SCC:
     if start < 1:
         raise ValueError("start must be >= 1")
     eps = Fraction(epsilon)
-    s = start
-    while True:
-        support, coeffs = _repeated_average(j, s)
-        candidate = SCC(j, eps, support, coeffs)
-        if check_scc(candidate):
-            return candidate
-        s += 1
+    if not eps > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    s = max(start, math.floor(1 / eps) + 1)
+    if s > SCC_SUPPORT_BOUND or j == 2 and s * (2**s - 1) > SCC_SUPPORT_BOUND:
+        raise SizeOverflow(
+            f"the level-{j} combination from start {s} exceeds the support bound "
+            f"{SCC_SUPPORT_BOUND}"
+        )
+    candidate = SCC(j, eps, *_repeated_average(j, s))
+    if not check_scc(candidate):
+        raise TsirelsonError(f"the level-{j} combination from start {s} fails the checker")
+    return candidate
 
 
 def _repeated_average(j: int, start: int):

@@ -100,9 +100,8 @@ m^2 * 2^-53 of the exact ones; a float space widens U by the factor
 and a bound carried from a bound by induction.  An A-ladder tests its
 cells only until the interval's row fill, and not where [i, j - 1) has n
 points or fewer: there U would be the l1 norm, which the explore test has
-already found above the best.  It tests the winner of [i, j - 1) first, and
-if that one's bound beats the best it fills the row without testing the
-others.  A cell it skipped is computed when a later read needs it.
+already found above the best.  A cell it skipped is computed when a later
+read needs it.
 
 A-ladders.  In an A-type space every head ``A_n`` cuts into pieces of D
 itself, so its exclusive value on [i, j) is the l1 norm when j - i <= n and
@@ -144,9 +143,11 @@ and the division by 1.0 is skipped, so every comparison and value is the
 one a float weight gives.  The table alone knows where the weights end:
 past a zero tail sup (a single-family space from n = 2 on) it gives zero
 weights.  Both loops run until the first n
-whose tail bound fails, and there record ``max_n_explored`` and, at the
-root [0, m), the certificate ``tail_n * ||x||_1``; a one-point support,
-whose root no loop reaches, takes the certificate of n = 2.
+whose tail bound fails and return it with the last n they explored.
+``fill`` keeps the largest explored n as ``max_n_explored``, and takes the
+certificate ``tail_n * ||x||_1`` at the n where the loop stopped on the
+root [0, m), the last interval it fills; a one-point support, whose root
+no loop reaches, takes the certificate of n = 2.
 
 Saturated supports.  When the first coordinate is at least the support
 size, every chain that leads with S_1 is in its all-singletons case on
@@ -247,16 +248,18 @@ class _Column:
     single cells below it.  ``best(i, K)`` is C_K(i), the best sum over at
     most K groups: splitting a group never lowers a sum, so C_k(i) is
     nondecreasing in k.  The cell reads level k only at rows
-    i + K - k .. j - k, so ``best`` extends each level k < K that far and
-    computes that one cell.  ``fill_row(i, K)`` computes row i of every
-    level up to K.  ``U[k]``, made at the first skip in level k, holds the
-    bounds that stood in for the cells an A-ladder skipped (see Pruning).
+    i + K - k .. j - k, so ``best`` extends each level k < K whose band
+    stops short of that and computes that one cell.  ``fill_row(i, K)``
+    extends each level k < K down to row i + 1 the same way and computes
+    row i of every level up to K.  ``U[k]``, made at the first skip in
+    level k, holds the bounds that stood in for the cells an A-ladder
+    skipped (see Pruning).
     The column holds the chain's table and the engine's counters, not the
     chain or the engine, so that the chain's ``live`` column makes no
     reference cycle.
     """
 
-    __slots__ = ("F", "j", "C", "U", "low", "row", "depth", "stats")
+    __slots__ = ("F", "j", "C", "U", "low", "stats")
 
     def __init__(self, level: _Level, j: int, stats: dict):
         self.F = level.F
@@ -264,8 +267,6 @@ class _Column:
         self.C = [None, level.FT[j]]
         self.U = [None] * j
         self.low = [0, 0]  # level 1 is the whole table column
-        # the last row fill: levels 2 .. depth hold the rows from row on
-        self.row, self.depth = j, 1
         self.stats = stats
 
     def _grow(self, K: int):
@@ -283,23 +284,20 @@ class _Column:
         stats["reads"] += 1
         cell = C[K][i]
         if cell is None:
-            # level k must reach row i + K - k; the levels short of that
-            # are the top ones, as a band's low + k never falls with k
-            F, low, top = self.F, self.low, i + K
-            k = K - 1
-            while k >= 2 and low[k] + k > top:
-                k -= 1
-            # extend them downward, keeping the single cells met; row e
-            # takes the splits e + 1 .. j - k + 1 of level k - 1
-            end, cells = self.j - k + 1, 1
-            for k in range(k + 1, K):
-                cur, prev = C[k], C[k - 1]
-                for e in range(low[k] - 1, top - k - 1, -1):
-                    if cur[e] is None:
-                        cur[e] = max(map(add, F[e][e + 1 : end], prev[e + 1 : end]))
-                        cells += 1
-                low[k] = top - k
-                end -= 1
+            # level k must reach row i + K - k: extend each one short of
+            # that downward, keeping the single cells met; row e takes the
+            # splits e + 1 .. j - k + 1 of level k - 1
+            F, low, top, j = self.F, self.low, i + K, self.j
+            cells = 1
+            for k in range(2, K):
+                if low[k] > top - k:
+                    cur, prev, end = C[k], C[k - 1], j - k + 2
+                    for e in range(low[k] - 1, top - k - 1, -1):
+                        if cur[e] is None:
+                            cur[e] = max(map(add, F[e][e + 1 : end], prev[e + 1 : end]))
+                            cells += 1
+                    low[k] = top - k
+            end = j - K + 2
             cell = C[K][i] = max(map(add, F[i][i + 1 : end], C[K - 1][i + 1 : end]))
             stats["cells"] += cells
             if low[K] == i + 1:
@@ -311,10 +309,9 @@ class _Column:
         C, low, j = self.C, self.low, self.j
         if len(C) <= K:
             self._grow(K)
-        # levels 2 .. K - 1 must hold rows i + 1 and above; after a row
-        # fill of row i + 1 only those past its depth can fall short
+        # levels 2 .. K - 1 must hold rows i + 1 and above
         F, cells = self.F, K - 1
-        for k in range(self.depth + 1 if self.row == i + 1 else 2, K):
+        for k in range(2, K):
             if low[k] > i + 1:
                 cur, prev, end = C[k], C[k - 1], j - k + 2
                 for e in range(low[k] - 1, i, -1):
@@ -333,7 +330,6 @@ class _Column:
         low[2:K] = [i] * (K - 2)
         if low[K] == i + 1:
             low[K] = i
-        self.row, self.depth = i, K - 1
         stats = self.stats
         stats["cells"] += cells
         stats["row_fills"] += 1
@@ -407,13 +403,6 @@ class _Engine:
             prefix.append(prefix[-1] + v)
         self._absv = absv
         self._prefix = prefix
-        # the l1 norm of the whole support, in the space's own arithmetic
-        self._ell1 = Fraction(prefix[m], self._scale) if space.exact else prefix[m]
-        if m == 1:
-            # the root is a leaf: no weight loop stops on it, and the
-            # certificate is the one the loop would give at n = 2
-            tp, tq, _, _ = self._weights[2]
-            self.cutoff_bound = tp * self._ell1 / tq
         base = self._base = _Level(None, None, None)
         self._new_table(base)
         self._levels: Dict[tuple, _Level] = {(): base}
@@ -531,21 +520,14 @@ class _Engine:
         interval wins ties."""
         if level is self._base:
             return None
-        memo = self._exclusives
-        if level in memo:
-            return memo[level]
         if j <= level.fast[i]:
-            result = (ell, level.inner, None)
-        else:
-            inner = self._exclusive(level.inner, i, j, ell)
-            K = min(level.budgets[i], j - i)
-            rest = self._column(level.inner, j).best(i, K) if K >= 2 else None
-            if rest is None or inner is not None and inner[0] >= rest:
-                result = inner
-            else:
-                result = (rest, level.inner, rest)
-        memo[level] = result
-        return result
+            return (ell, level.inner, None)
+        inner = self._exclusive(level.inner, i, j, ell)
+        K = min(level.budgets[i], j - i)
+        rest = self._column(level.inner, j).best(i, K) if K >= 2 else None
+        if rest is None or inner is not None and inner[0] >= rest:
+            return inner
+        return (rest, level.inner, rest)
 
     def fill(self):
         self._setup()
@@ -554,6 +536,10 @@ class _Engine:
         base = self._base
         D, DT = base.F, base.FT
         weigh = self._weigh_ladder if self.space.kind == A_TYPE else self._weigh
+        # where the last weight loop stopped: on the root [0, m), the last
+        # interval filled; a one-point root is a leaf, which no loop
+        # reaches, and takes the stop of n = 2
+        stop = 2
         for j in range(1, self.m + 1):
             self._j = j
             for head in self._carriers:
@@ -571,7 +557,9 @@ class _Engine:
                     best, decision = D[i + 1][j], _SUFFIX
                     if absv[i] >= best:
                         best, decision = absv[i], _LEAF
-                    best, decision = weigh(i, j, ell, best, decision)
+                    best, decision, explored, stop = weigh(i, j, ell, best, decision)
+                    if explored > self.max_n_explored:
+                        self.max_n_explored = explored
                 D[i][j] = DT[j][i] = best
                 decisions[i][j] = decision
                 for level in self._tables:
@@ -579,12 +567,17 @@ class _Engine:
                         level, i, j, ell, self._column(level.inner, j)
                     )
         self._i = -1
+        # the certificate: the tail bound at the stop times the l1 norm, in
+        # the space's own arithmetic
+        tp, tq, _, _ = self._weights[stop]
+        ell1 = Fraction(prefix[self.m], self._scale) if self.space.exact else prefix[self.m]
+        self.cutoff_bound = tp * ell1 / tq
 
     def _weigh(self, i: int, j: int, ell, best, decision):
-        """(D[i][j], decision) for j - i >= 2 in an S-type or single-family
-        space, from the best sup-norm candidate: theta_n times each head's
-        exclusive value, n ascending until the tail bound is dominated."""
-        self._exclusives = {}
+        """(D[i][j], decision, the last n explored, the n where the loop
+        stopped) for j - i >= 2 in an S-type or single-family space, from
+        the best sup-norm candidate: theta_n times each head's exclusive
+        value, n ascending until the tail bound is dominated."""
         weights, heads = self._weights, self._heads
         # the bound on [i, j) of an exclusive value carried from [i, j - 1)
         last, widen = self._absv[j - 1], self._widen
@@ -616,11 +609,7 @@ class _Engine:
                         best = _divide(value, q)
                         decision = (n, cand[1], cand[2])
             n += 1
-        if i == 0 and j == self.m:
-            self.cutoff_bound = tp * self._ell1 / tq
-        if explored > self.max_n_explored:
-            self.max_n_explored = explored
-        return best, decision
+        return best, decision, explored, n
 
     def _weigh_ladder(self, i: int, j: int, ell, best, decision):
         """``_weigh`` in an A-type space: the exclusive value of A_n is ell
@@ -631,7 +620,6 @@ class _Engine:
         column = base.live
         length = j - i
         filled = 0  # the reach of the row fill, once there is one
-        hopeless = None  # whether a skip cannot spare the fill
         explored = 0
         n = 2
         while True:
@@ -646,23 +634,14 @@ class _Engine:
                     split = None
                 else:
                     if not filled:
-                        last, widen = self._absv[j - 1], self._widen
-                        if hopeless is None:
-                            # the winner of [i, j - 1) is the likeliest to
-                            # beat its bound: if it does, the fill is needed
-                            won = self._decisions[i][j - 1]
-                            hopeless = isinstance(won, tuple) and won[0] > n and won[2] is not None
-                            if hopeless:
-                                _, _, pw, qw = weights[won[0]]
-                                hopeless = pw * (won[2] + last) * widen > qw * best
-                        if not hopeless and n < length - 1:
+                        if n < length - 1:
                             # C_n(i) at j - 1, or the bound that stood in for it
                             prev = self._prev_column
                             carried = prev.C[n][i] if n < len(prev.C) else None
                             if carried is None and prev.U[n] is not None:
                                 carried = prev.U[n][i]
                             if carried is not None:
-                                bound = (carried + last) * widen
+                                bound = (carried + self._absv[j - 1]) * self._widen
                                 if p * bound <= q * best:
                                     if column.U[n] is None:
                                         column.U[n] = [None] * j
@@ -683,11 +662,7 @@ class _Engine:
                     best = _divide(value, q)
                     decision = (n, base, split)
             n += 1
-        if i == 0 and j == self.m:
-            self.cutoff_bound = tp * self._ell1 / tq
-        if explored > self.max_n_explored:
-            self.max_n_explored = explored
-        return best, decision
+        return best, decision, explored, n
 
     def _reach(self, i: int, j: int, ell, n: int, best) -> int:
         """The last weight index from n on, below j - i, whose tail bound

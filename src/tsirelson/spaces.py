@@ -139,7 +139,7 @@ def _power_theta(c, q, n, exact):
     return float(c) * float(n) ** (-1.0 / float(q))
 
 
-def theta_sup_from(seq: ThetaSeq, n: int, arithmetic: str = FLOAT64):
+def theta_sup_from(seq: ThetaSeq, n: int, arithmetic: str):
     """sup of theta_m over m >= n; used as a sound tail bound by the norm engine."""
     return seq.sup_from(max(n, 1), arithmetic == RATIONAL)
 

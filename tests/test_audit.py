@@ -153,11 +153,12 @@ class TestKriv:
         condition_rows = [r for r in report.rows if r.id.endswith("conditions")]
         assert all(r.ok is None for r in condition_rows)
 
-    def test_budget_error_without_relaxation(self):
+    def test_budget_error_when_no_scale_fits(self):
+        # the conditions scaled down by 10**12 still do not fit N = 1000
         from tsirelson.errors import BudgetExceeded
 
-        with pytest.raises(BudgetExceeded):
-            au.audit_kriv(SCHLUMPRECHT, 3, 1, seed=0, relax="exact")
+        with pytest.raises(BudgetExceeded, match="no feasible scale found"):
+            au.audit_kriv(TZAFRIRI, 1000, 1, seed=0)
 
     def test_oversized_flat_table_refused_before_any_work(self, monkeypatch):
         # N = 1, r = 2 plans one block of length 260,101, inside the leaf

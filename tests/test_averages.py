@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 import tsirelson as t
 from tsirelson import averages as av
-from tsirelson.errors import HypothesisViolated, InsufficientPool
+from tsirelson.errors import HypothesisViolated, InsufficientPool, OverBudget
 from tsirelson.norm import norm
 from tsirelson.vectors import pattern_sums
 
@@ -182,6 +183,28 @@ class TestScc:
         scc = av.build_scc(1, Fraction(1, 10), 4)
         assert scc.support[0] >= 11
         assert av.check_scc(scc)
+
+    @pytest.mark.parametrize("j", (1, 2))
+    def test_first_passing_start(self, j):
+        # the combination from s has mass 1/s, so the build starts at the
+        # first s from ``start`` past 1/epsilon: no start before it passes
+        for start in range(1, 6):
+            for eps in (Fraction(1), Fraction(3, 10), Fraction(1, 4), Fraction(2, 13), Fraction(1, 7)):
+                s = av.build_scc(j, eps, start).support[0]
+                assert s == max(start, math.floor(1 / eps) + 1)
+                for before in range(start, s):
+                    support, coeffs = av._repeated_average(j, before)
+                    assert not av.check_scc(av.SCC(j, eps, support, coeffs))
+
+    def test_support_bound(self, monkeypatch):
+        # at bound 60, level 1 builds 60 points and level 2 its start 4,
+        # 4 * (2**4 - 1) = 60 points; one start more is refused
+        monkeypatch.setattr(av, "SCC_SUPPORT_BOUND", 60)
+        assert len(av.build_scc(1, Fraction(1, 59), 1).support) == 60
+        assert len(av.build_scc(2, Fraction(1, 3), 1).support) == 60
+        for j, eps in ((1, Fraction(1, 60)), (2, Fraction(1, 4))):
+            with pytest.raises(OverBudget, match="support bound 60"):
+                av.build_scc(j, eps, 1)
 
 
 def _s1_subsets(elems):

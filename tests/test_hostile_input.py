@@ -40,12 +40,12 @@ def scc_json(epsilon):
                        "coefficients": ["1/4"] * 4})
 
 
-def tree_json(epsilon, value):
+def tree_json(epsilon, value, **extra):
     """An averaging tree file of depth 1 over two leaves, one of them
-    storing ``value``."""
+    storing ``value``, with the ``extra`` keys."""
     leaves = [{"support": [3], "values": [value]}, {"support": [4], "values": ["1/1"]}]
     levels = [{"level": 1, "nodes": [{"interval": [1, 2]}]}, {"level": 0, "nodes": leaves}]
-    return json.dumps({"depth": 1, "epsilon": epsilon, "levels": levels, "theta": "1/2"})
+    return json.dumps({"depth": 1, "epsilon": epsilon, "levels": levels, "theta": "1/2", **extra})
 
 
 def nested_a1(depth):
@@ -96,6 +96,36 @@ REFUSED = {
     "avg-check-numeric-value": (
         tree_json("1/2", 1), ["avg", "check", "--space", "geometric-s:1/2", "--input", "{vec}"]
     ),
+    # a special convex combination that no start gives, or past the
+    # support bound: these ran without end
+    "scc-build-epsilon-zero": (None, ["scc", "build", "--level", "1", "--epsilon", "0"]),
+    "scc-build-epsilon-negative": (None, ["scc", "build", "--level", "1", "--epsilon", "-1"]),
+    "scc-build-epsilon-tiny": (None, ["scc", "build", "--level", "1", "--epsilon", "1/100000"]),
+    "scc-build-level-2-epsilon-tiny": (
+        None, ["scc", "build", "--level", "2", "--epsilon", "1/1000000"]
+    ),
+    # averaging-tree levels below 0 and relaxed scales below 1: a KeyError,
+    # a ZeroDivisionError, or size bounds that a negative scale turns over
+    "avg-build-levels-negative": (
+        None, ["avg", "build", "--space", "geometric-s:1/2", "--levels", "-1", "--epsilon", "1/2"]
+    ),
+    "tav-levels-negative": (None, ["audit", "tav", "--levels", "-1"]),
+    "avg-build-relaxed-zero": (
+        None,
+        ["avg", "build", "--space", "geometric-s:1/2", "--levels", "1", "--epsilon", "1/2",
+         "--relaxed", "0"],
+    ),
+    "tav-relaxed-zero": (None, ["audit", "tav", "--relaxed", "0"]),
+    "avg-build-relaxed-negative": (
+        None,
+        ["avg", "build", "--space", "geometric-s:1/2", "--levels", "1", "--epsilon", "1/2",
+         "--relaxed", "-3"],
+    ),
+    "tav-relaxed-negative": (None, ["audit", "tav", "--relaxed", "-3"]),
+    "avg-check-relaxed-zero": (
+        tree_json("1/2", "1/1", relaxed_scale=0),
+        ["avg", "check", "--space", "geometric-s:1/2", "--input", "{vec}"],
+    ),
 }
 
 # the message of a refusal that names its line
@@ -111,6 +141,9 @@ AT_THE_BOUND = {
         None,
         ["avg", "build", "--space", "geometric-s:1/2", "--levels", "1", "--epsilon", "1/2",
          "--relaxed", "3"],
+    ),
+    "avg-levels-zero": (
+        None, ["avg", "build", "--space", "geometric-s:1/2", "--levels", "0", "--epsilon", "1/2"]
     ),
     "kriv-r-one": (None, ["audit", "kriv", "--count", "1", "--r", "1"]),
     "schreier-index-at-bound": (

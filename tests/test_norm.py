@@ -572,6 +572,32 @@ class TestWorkCounters:
         assert 0 < fill_cells <= fill_cap
         assert engine.stats["cells"] - fill_cells <= fill_cells // 10
 
+    # the six ``norm-large`` benchmark presets in the workload's order, with
+    # caps on the fill's summed cells and row fills over its rounds 0 .. 5
+    # at seed 20081227, which these counts meet exactly
+    NORM_LARGE = (
+        ("tsirelson", 40, 25_065, 0),
+        ("geometric-s:1/2", 40, 26_014, 0),
+        ("geometric-s:1/2+A3", 36, 13_835, 0),
+        ("geometric-a:1/2", 64, 6_166, 740),
+        ("schlumprecht", 44, 83_412, 5_097),
+        ("tzafriri:1/2", 48, 67_616, 1_432),
+    )
+
+    def test_norm_large_work_stays_capped(self):
+        specs = [_spec(label) for label, *_ in self.NORM_LARGE]
+        work = collections.Counter()
+        for r in range(6):
+            rng = random.Random(f"norm-large:20081227:{r}")
+            for spec, (label, m, _, _) in zip(specs, self.NORM_LARGE):
+                engine = _Engine(spec, random_vector(rng, m, first=1, gap=3, exact=spec.exact))
+                engine.fill()
+                work[label, "cells"] += engine.stats["cells"]
+                work[label, "row_fills"] += engine.stats["row_fills"]
+        for label, _, cells, row_fills in self.NORM_LARGE:
+            assert work[label, "cells"] <= cells, label
+            assert work[label, "row_fills"] <= row_fills, label
+
     @pytest.mark.parametrize(
         "label, m",
         [("tsirelson", 40), ("geometric-s:1/2", 40), ("geometric-a:1/2", 64), ("schlumprecht", 44), ("tzafriri:1/2", 48)],
