@@ -295,6 +295,10 @@ GENERIC_NORM_SUPPORT_CAP = 72
 FLAT_TABLE_MAX_LEN = 1024
 # Largest total support of the blocks that audit_kriv builds
 KRIV_LEAF_BUDGET = 300_000
+# Largest block count N that audit_kriv takes: it computes 2^N - 1 subset
+# norms.  On tzafriri:1/2 on a 2-vCPU Xeon, N = 10 took 1.6-2.3 s, N = 11
+# 4.5-12.3 s and N = 12 34.8 s.
+KRIV_MAX_COUNT = 10
 
 
 def audit_kriv(space: SpaceSpec, N: int, r: int, seed: int = 0) -> AuditReport:
@@ -327,6 +331,11 @@ def audit_kriv(space: SpaceSpec, N: int, r: int, seed: int = 0) -> AuditReport:
         scale *= 10
         if scale > 10**12:
             raise BudgetExceeded("no feasible scale found")
+    if N > KRIV_MAX_COUNT:
+        raise BudgetExceeded(
+            f"{N} blocks need {2**N - 1} subset norms; the audit takes up to "
+            f"{KRIV_MAX_COUNT} blocks"
+        )
     ms = [m for m, _ in plan]
     lengths = [L for _, L in plan]
     if max(lengths) > FLAT_TABLE_MAX_LEN:

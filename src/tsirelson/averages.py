@@ -191,14 +191,16 @@ def build_averaging_tree(
     M: int,
     epsilon,
     relaxed_scale: Optional[int] = None,
-    leaf_budget: int = 100_000,
 ) -> AveragingTree:
     """Build a nested uniform average with the explicit size lower bounds.
 
     In exact mode the bounds are enforced verbatim; ``relaxed_scale`` divides
     the right-hand sides for desk-scale experiments and marks the tree
     non-conforming.  The sibling groups are kept admissible by advancing the
-    pool until the first block of a group starts late enough.
+    pool until the first block of a group starts late enough.  A node of k
+    children needs at least k leaves, so a node with more children than
+    ``AVG_LEAF_BUDGET`` leaves the tree has left is refused (``SizeOverflow``)
+    before its blocks are drawn.
     """
     theta_est = derived_params(space, 8).theta_limit_estimate
     if space.exact and not isinstance(theta_est, Fraction):
@@ -220,10 +222,6 @@ def build_averaging_tree(
         for block in pool_iter:
             if block.support[0] >= min_start:
                 leaves_used += 1
-                if leaves_used > leaf_budget:
-                    raise SizeOverflow(
-                        f"averaging tree exceeds the leaf budget {leaf_budget}"
-                    )
                 return block
         raise PoolExhausted("block pool exhausted")
 
@@ -238,6 +236,11 @@ def build_averaging_tree(
         k = int(bound) + 1
         if k < 2:
             k = 2
+        if k > AVG_LEAF_BUDGET - leaves_used:
+            raise SizeOverflow(
+                f"a level-{level} node of {k} children exceeds the averaging tree's "
+                f"leaf budget {AVG_LEAF_BUDGET}"
+            )
         children = [build(level - 1, max(min_start, k))]
         for _ in range(k - 1):
             children.append(build(level - 1, 1))
@@ -434,6 +437,8 @@ class SCC(Record):
     coefficients: Tuple[object, ...]
 
 
+# the most leaves ``build_averaging_tree`` draws
+AVG_LEAF_BUDGET = 100_000
 # the largest support ``build_scc`` builds: from a start s, a level-1
 # combination has s points and a level-2 one s * (2**s - 1), s greedy S_1
 # runs each twice as long as the last

@@ -19,7 +19,7 @@ from fractions import Fraction
 # the modules it uses, so a process loads just its subcommand's share of the
 # package: ``audit`` only for ``audit``, ``avg`` and ``scc`` (through
 # ``averages``).
-from .errors import HypothesisViolated, OverBudget, ParseError, SupportTooLarge, TsirelsonError
+from .errors import HypothesisViolated, OverBudget, ParseError, TsirelsonError
 from .scalars import parse_scalar, render_scalar
 
 
@@ -58,18 +58,10 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _norm_of(args):
-    """The norm of the vector file, refused above the support bound before
-    the fill starts."""
-    from .norm import NORM_SUPPORT_BOUND, norm as compute_norm
+    from .norm import norm as compute_norm
 
     spec = _load_space(args)
-    x = _load_vector(args.vector, spec)
-    if len(x) > NORM_SUPPORT_BOUND:
-        raise SupportTooLarge(
-            f"the vector has {len(x)} support points; norm and witness handle "
-            f"up to {NORM_SUPPORT_BOUND}"
-        )
-    return compute_norm(spec, x)
+    return compute_norm(spec, _load_vector(args.vector, spec))
 
 
 def _cmd_norm(args) -> int:
@@ -134,8 +126,6 @@ def _cmd_regularize(args) -> int:
             "is a single-family space with one weight"
         )
     mode = spaces.PRODUCT if spec.kind == spaces.A_TYPE else spaces.SUM
-    if args.mode:
-        mode = args.mode
     values = spaces.regularize(spec.thetas, mode, args.horizon, spec.arithmetic)
     rendered = [render_scalar(v) for v in values]
     _emit(args, {"mode": mode, "theta_hat": rendered}, "\n".join(rendered))
@@ -178,8 +168,6 @@ def _cmd_split(args) -> int:
     from . import functionals
 
     spec = _load_space(args)
-    if spec.inner_ak is None:
-        raise HypothesisViolated("split needs a space with inner_ak")
     f = functionals.parse_functional(args.functional)
     parts = functionals.split_xk(spec, f)
     rendered = [functionals.format_functional(p) for p in parts]
@@ -221,7 +209,7 @@ def _cmd_audit(args) -> int:
 
         spec = _load_space(args)
         if args.avg_cmd == "build":
-            tree = _averaging_tree(args, spec, leaf_budget=args.leaf_budget)
+            tree = _averaging_tree(args, spec)
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:
                     json.dump(averages.tree_to_dict(tree), fh, sort_keys=True)
@@ -247,9 +235,9 @@ def _cmd_audit(args) -> int:
     return 0 if report.all_pass else 1
 
 
-def _averaging_tree(args, spec, **leaf_budget):
+def _averaging_tree(args, spec):
     """The averaging tree of ``avg build`` and ``audit tav`` over the basis
-    pool; ``audit tav`` passes no leaf budget and keeps the library's."""
+    pool."""
     from . import averages
 
     return averages.build_averaging_tree(
@@ -258,7 +246,6 @@ def _averaging_tree(args, spec, **leaf_budget):
         args.levels,
         parse_scalar(args.epsilon),
         relaxed_scale=args.relaxed,
-        **leaf_budget,
     )
 
 
@@ -315,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_reg.add_argument("--space", required=True)
     p_reg.add_argument("--horizon", type=int, required=True)
-    p_reg.add_argument("--mode", choices=["product", "sum"])
     p_reg.set_defaults(func=_cmd_regularize)
 
     p_scc = sub.add_parser("scc", help="special convex combinations")
@@ -336,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--levels", type=int, required=True)
     q.add_argument("--epsilon", required=True)
     q.add_argument("--relaxed", type=int)
-    q.add_argument("--leaf-budget", type=int, default=100_000)
     q.add_argument("--out", help="serialize the tree to this JSON path")
     q.set_defaults(func=_cmd_audit, suite="avg")
     q = avg_sub.add_parser("check", parents=[with_json])

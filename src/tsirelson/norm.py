@@ -155,8 +155,9 @@ every interval.  Where ``saturated.applies`` says so, the norm is then
 ``max(||x||_inf, theta_1 ||x||_1)`` on every interval, and
 ``saturated.solve`` answers ``norm``, ``admissible_sum`` and the interval
 tables from ``saturated.Saturated`` in O(m), with the engine's witness,
-``max_n_explored`` and cutoff certificate; everything else fills the
-engine.
+``max_n_explored`` and cutoff certificate, at any support size; everything
+else fills the engine, which refuses a support of more than
+``NORM_SUPPORT_BOUND`` points.
 
 ``brute_norm`` is an independent oracle that enumerates tree functionals
 over the support directly.
@@ -205,8 +206,8 @@ class AdmissibleSumResult(Record):
 
 
 # the engine's work counters: C_k cells computed, weight-loop candidates
-# ruled out by a carried bound, A-ladder row fills and ``_Column.best`` reads
-STATS = ("cells", "skips", "row_fills", "reads")
+# ruled out by a carried bound and A-ladder row fills
+STATS = ("cells", "skips", "row_fills")
 
 # decisions of D[i][j] that are not nodes
 _LEAF = 0
@@ -280,8 +281,6 @@ class _Column:
         C = self.C
         if len(C) <= K:
             self._grow(K)
-        stats = self.stats
-        stats["reads"] += 1
         cell = C[K][i]
         if cell is None:
             # level k must reach row i + K - k: extend each one short of
@@ -299,7 +298,7 @@ class _Column:
                     low[k] = top - k
             end = j - K + 2
             cell = C[K][i] = max(map(add, F[i][i + 1 : end], C[K - 1][i + 1 : end]))
-            stats["cells"] += cells
+            self.stats["cells"] += cells
             if low[K] == i + 1:
                 low[K] = i
         return cell
@@ -375,6 +374,11 @@ class _Engine:
     def __init__(self, space: SpaceSpec, x: SparseVector):
         if not x:
             raise EmptyVector("norm of the empty vector is not defined")
+        if len(x) > NORM_SUPPORT_BOUND:
+            raise SupportTooLarge(
+                f"the vector has {len(x)} support points; the norm engine fills "
+                f"up to {NORM_SUPPORT_BOUND}"
+            )
         self.space = space
         self.coords = x.support
         self.values = x.values
@@ -777,13 +781,14 @@ class _Engine:
         return fold(resolve(i, j), leaf, lambda span, kids: Node(span[2][0], tuple(kids)), pieces)
 
 
-# the largest support the ``norm`` and ``witness`` commands take; the fill
-# grows as about m^4.  At 224 points, on a flat vector (coordinates 1..224,
-# all ones) and on ``random_vector(first=1, gap=3)``, geometric-s:1/2 took
-# 3.5 s and 4.5 s (2.6 s and 5.0 s with an inner A_3) on a 2-vCPU Xeon.
-# Weights that decay more slowly explore more levels and cost more per
-# point: geometric-s:9/10 took 6.0 s on both at 128 points, and 100 s and
-# 116 s at 224.
+# the largest support the engine fills (``_Engine`` refuses a larger one
+# before any set-up); the fill grows as about m^4.  At 224 points, on a
+# flat vector (coordinates 1..224, all ones) and on
+# ``random_vector(first=1, gap=3)``, geometric-s:1/2 took 3.5 s and 4.5 s
+# (2.6 s and 5.0 s with an inner A_3) on a 2-vCPU Xeon.  Weights that
+# decay more slowly explore more levels and cost more per point:
+# geometric-s:9/10 took 6.0 s on both at 128 points, and 100 s and 116 s
+# at 224.
 NORM_SUPPORT_BOUND = 224
 
 

@@ -153,9 +153,7 @@ def test_criterion_06_pest():
 
 def test_criterion_07_tav():
     """Exact M=1 averaging tree passes every audit row; relaxed M=2 archived."""
-    tree = av.build_averaging_tree(
-        GEOM_S, av.basis_pool(), 1, Fraction(1, 2), leaf_budget=100_000
-    )
+    tree = av.build_averaging_tree(GEOM_S, av.basis_pool(), 1, Fraction(1, 2))
     assert tree.conforming
     check = av.check_averaging_tree(GEOM_S, tree)
     assert check.all_pass

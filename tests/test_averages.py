@@ -6,7 +6,7 @@ import pytest
 
 import tsirelson as t
 from tsirelson import averages as av
-from tsirelson.errors import HypothesisViolated, InsufficientPool, OverBudget
+from tsirelson.errors import HypothesisViolated, InsufficientPool, OverBudget, SizeOverflow
 from tsirelson.norm import norm
 from tsirelson.vectors import pattern_sums
 
@@ -77,9 +77,7 @@ class TestAveragingTree:
         assert av.check_averaging_tree(GEOM_S, tree).all_pass
 
     def test_exact_m1(self):
-        tree = av.build_averaging_tree(
-            GEOM_S, av.basis_pool(), 1, Fraction(1, 2), leaf_budget=100_000
-        )
+        tree = av.build_averaging_tree(GEOM_S, av.basis_pool(), 1, Fraction(1, 2))
         assert tree.conforming
         assert tree.leaf_count() == 193  # bound 6*2^3 * theta^-1 * eps^-1 = 192
         report = av.check_averaging_tree(GEOM_S, tree)
@@ -113,10 +111,8 @@ class TestAveragingTree:
         assert rows["uniform-averages"] is False
 
     def test_budget_guard(self):
-        with pytest.raises(Exception):
-            av.build_averaging_tree(
-                GEOM_S, av.basis_pool(), 1, Fraction(1, 2), leaf_budget=10
-            )
+        with pytest.raises(SizeOverflow, match="leaf budget"):
+            av.build_averaging_tree(GEOM_S, av.basis_pool(), 1, Fraction(1, 10**9))
 
     def test_tav_m0_trivial(self):
         tree = av.build_averaging_tree(GEOM_S, av.basis_pool(), 0, Fraction(1, 2))

@@ -1,4 +1,3 @@
-import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import tsirelson as t
-from tsirelson.cli import build_parser, run
+from tsirelson.cli import run
 from tsirelson.scalars import render_scalar
 from tsirelson.vectors import format_vector, parse_vector
 
@@ -590,10 +589,3 @@ class TestStartup:
         assert t.__all__ == PUBLIC_NAMES
         for name in t.__all__:
             assert getattr(t, name) is not None
-
-    def test_mode_choices_are_the_regularization_modes(self):
-        sub = next(
-            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        mode = next(a for a in sub.choices["regularize"]._actions if a.dest == "mode")
-        assert mode.choices == [t.spaces.PRODUCT, t.spaces.SUM]

@@ -23,12 +23,15 @@ from hypothesis import given, settings, strategies as st
 from tsirelson.cli import run
 from tsirelson.families import MAX_FAMILY_DEPTH
 from tsirelson.functionals import MAX_WEIGHT_INDEX
+from tsirelson.norm import NORM_SUPPORT_BOUND
 
 from conftest import child_env
 
 HUGE = "1\t1e400\n"  # exact as a rational, past the float range
 TINY = "1\t1\n2\t-1e-400\n"  # nonzero as a rational, zero as a float
 LARGE = "1\t1e300\n"  # inside the float range
+# one point past the norm engine's support bound, from coordinate 1
+PAST_THE_ENGINE = "".join(f"{c}\t1\n" for c in range(1, NORM_SUPPORT_BOUND + 2))
 # an auxiliary S-space with an inner A_3, for ``split``
 XK_CONFIG = "kind = S\ntheta = geometric:1/2\ninner_ak = 3\n"
 
@@ -52,6 +55,27 @@ def nested_a1(depth):
     """``A1[A1[...]]`` with ``depth`` letters, ``depth`` levels deep."""
     return "A1[" * (depth - 1) + "A1" + "]" * (depth - 1)
 
+
+# a support past the engine's bound reached by a command other than norm,
+# an averaging tree past its leaf budget that skipped pool blocks uncounted,
+# and 2^N - 1 subset norms: these ran for seconds or without end, so each
+# runs in a child process with a timeout, and a regression fails in seconds
+# instead of hanging the suite
+ONCE_UNBOUNDED = {
+    "domination-past-the-support-bound": (
+        PAST_THE_ENGINE,
+        ["audit", "domination", "--space", "tsirelson", "--ys", "{vec}", "--zs", "{vec}"],
+    ),
+    "tav-root-past-the-support-bound": (
+        None, ["audit", "tav", "--levels", "2", "--relaxed", "120"]
+    ),
+    "avg-build-epsilon-tiny": (
+        None,
+        ["avg", "build", "--space", "geometric-s:1/2", "--levels", "1",
+         "--epsilon", "1/1000000000"],
+    ),
+    "kriv-count-past-bound": (None, ["audit", "kriv", "--count", "11"]),
+}
 
 REFUSED = {
     "float-overflow-norm": (HUGE, ["norm", "--space", "schlumprecht", "--vector", "{vec}"]),
@@ -126,6 +150,7 @@ REFUSED = {
         tree_json("1/2", "1/1", relaxed_scale=0),
         ["avg", "check", "--space", "geometric-s:1/2", "--input", "{vec}"],
     ),
+    **ONCE_UNBOUNDED,
 }
 
 # the message of a refusal that names its line
@@ -184,8 +209,14 @@ def argv_of(case, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(REFUSED))
 def test_refused_with_exit_2(name, tmp_path, capsys):
-    code = run(argv_of(REFUSED[name], tmp_path))
-    err = capsys.readouterr().err
+    argv = argv_of(REFUSED[name], tmp_path)
+    if name in ONCE_UNBOUNDED:
+        proc = run_in_a_child(argv, timeout=10)
+        code, err = proc.returncode, proc.stderr
+        assert "Traceback" not in err
+    else:
+        code = run(argv)
+        err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(REFUSAL_MESSAGES.get(name, "error: "))
 
@@ -203,14 +234,18 @@ def test_composition_depth_adds_up(depth, refused, capsys):
     assert code == (2 if refused else 0), capsys.readouterr().err
 
 
-def test_no_traceback_from_a_process(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "tsirelson.cli", *argv_of(REFUSED["float-overflow-norm"], tmp_path)],
+def run_in_a_child(argv, timeout):
+    return subprocess.run(
+        [sys.executable, "-m", "tsirelson.cli", *argv],
         capture_output=True,
         text=True,
         env=child_env(),
-        timeout=60,
+        timeout=timeout,
     )
+
+
+def test_no_traceback_from_a_process(tmp_path):
+    proc = run_in_a_child(argv_of(REFUSED["float-overflow-norm"], tmp_path), timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and "line 1" in proc.stderr

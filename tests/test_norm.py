@@ -10,7 +10,16 @@ from hypothesis import given, settings, strategies as st
 import tsirelson as t
 from tsirelson.errors import EmptyVector, SupportTooLarge
 from tsirelson.generators import random_vector
-from tsirelson.norm import STATS, _Column, _Engine, admissible_sum, brute_norm, flat_norm_table, norm
+from tsirelson.norm import (
+    NORM_SUPPORT_BOUND,
+    STATS,
+    _Column,
+    _Engine,
+    admissible_sum,
+    brute_norm,
+    flat_norm_table,
+    norm,
+)
 from tsirelson.scalars import FLOAT64, close as scalar_close
 
 from test_norm_golden import golden_spaces
@@ -50,6 +59,24 @@ class TestExamples:
     def test_empty_vector(self):
         with pytest.raises(EmptyVector):
             norm(TSIRELSON, t.SparseVector(()))
+
+
+class TestSupportBound:
+    def test_support_past_the_bound_is_refused_before_the_fill(self, monkeypatch):
+        def fill(engine):
+            raise AssertionError("the engine started a fill")
+
+        monkeypatch.setattr(_Engine, "fill", fill)
+        size = NORM_SUPPORT_BOUND + 1
+        x = t.SparseVector(tuple((c, Fraction(1)) for c in range(1, size + 1)))
+        with pytest.raises(SupportTooLarge, match=f"{size} support points"):
+            norm(TSIRELSON, x)
+
+    def test_saturated_support_past_the_bound_is_answered(self):
+        # the first coordinate is the support size: the closed form
+        # max(||x||_inf, theta_1 ||x||_1) answers without the engine
+        x = t.SparseVector(tuple((c, Fraction(1)) for c in range(300, 600)))
+        assert norm(TSIRELSON, x).value == max(1, Fraction(1, 2) * 300)
 
 
 class TestAdmissibleSum:
