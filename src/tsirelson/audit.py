@@ -254,11 +254,13 @@ def estimate_domination(
 ) -> float:
     """Empirical lower bound for the constant with which (ys) dominates (zs).
 
-    Samples the fixed nonnegative grid (unit vectors, all-ones) plus random
+    Samples the fixed nonnegative grid (all-ones, unit vectors) plus random
     simplex and sparse-corner coefficient vectors; the estimate is the max
     ratio and can only grow with more samples.  The coefficients are
     nonnegative, so a pattern that repeats repeats |a|, and the norm is
-    1-unconditional: each distinct pattern's ratio is computed once.
+    1-unconditional: each distinct pattern's ratio is computed once.  The
+    all-ones sums come first, so that a sum past the norm engine's support
+    bound is refused before any other norm.
     """
     from .norm import norm
     from .vectors import pattern_sums
@@ -267,8 +269,8 @@ def estimate_domination(
         raise LengthMismatch(f"{len(ys)} blocks vs {len(zs)}")
     m = len(ys)
     rng = random.Random(seed)
-    patterns = [tuple(1 if i == t else 0 for i in range(m)) for t in range(m)]
-    patterns.append(tuple([1] * m))
+    patterns = [tuple([1] * m)]
+    patterns += [tuple(1 if i == t else 0 for i in range(m)) for t in range(m)]
     while len(patterns) < m + 1 + trials:
         if rng.random() < 0.5:
             patterns.append(

@@ -1,5 +1,5 @@
 """Constructive special vectors: l_r-averages, averaging trees, special
-convex combinations, equal-norm partitions, and c_0-average associates.
+convex combinations and equal-norm partitions.
 
 Constructions are deterministic given the pool order and seed; every
 constructed object has a separate checker, and the checkers (not the
@@ -14,7 +14,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import families
 from .audit import AuditReport, AuditRow
@@ -24,16 +24,12 @@ from .errors import (
     ParseError,
     PoolExhausted,
     SizeOverflow,
-    SupportTooLarge,
     TsirelsonError,
 )
 from .records import Record
 from .scalars import close, leq
 from .spaces import SpaceSpec, derived_params
 from .vectors import SparseVector, pattern_sums, sum_vectors
-
-if TYPE_CHECKING:
-    from .trees import TreeFunctional
 
 
 def basis_pool(start: int = 1) -> Iterator[SparseVector]:
@@ -651,54 +647,3 @@ def interval_norm_table(space: SpaceSpec, z: SparseVector):
 
     solved = solve(space, z)
     return solved.coords, solved.value
-
-
-# ---------------------------------------------------------------------------
-# c_0-average associates
-
-
-C0_SUPPORT_BOUND = 12
-
-
-def c0_average_associate(space: SpaceSpec, f_parts: Sequence[TreeFunctional]):
-    """Associate a near-l_1 vector with a sum of successive functionals.
-
-    Each part gets a norming-candidate vector found by searching the
-    sign-matched indicator vectors on its support (exact on supports up to
-    12); when a part is a norm witness the search attains eval = norm.
-    Returns the normalized sum plus the achieved constant Sum f_k(x_k) over
-    the norm of the sum.
-    """
-    from .functionals import eval_functional, leaves, support
-    from .norm import norm
-
-    if not f_parts:
-        raise ValueError("need at least one functional part")
-    sups = [support(f) for f in f_parts]
-    for a, b in zip(sups, sups[1:]):
-        if a[-1] >= b[0]:
-            raise ValueError("parts must be successive")
-    chosen: List[SparseVector] = []
-    achieved_sum = space.scalar(0)
-    for f, sup in zip(f_parts, sups):
-        if len(sup) > C0_SUPPORT_BOUND:
-            raise SupportTooLarge(
-                f"coordinate search handles supports up to {C0_SUPPORT_BOUND}"
-            )
-        signs = {g.coordinate: g.sign for g in leaves(f)}
-        best_ratio = None
-        best_vec = None
-        for mask in range(1, 1 << len(sup)):
-            coords = [sup[i] for i in range(len(sup)) if mask >> i & 1]
-            vec = SparseVector(tuple((c, signs[c]) for c in coords))
-            value = eval_functional(space, f, vec)
-            nrm = norm(space, vec).value
-            ratio = value / nrm
-            if best_ratio is None or ratio > best_ratio:
-                best_ratio = ratio
-                best_vec = vec.scale(1 / nrm)
-        chosen.append(best_vec)
-        achieved_sum = achieved_sum + eval_functional(space, f, best_vec)
-    total = sum_vectors(chosen)
-    total_norm = norm(space, total).value
-    return total.scale(1 / total_norm), achieved_sum / total_norm

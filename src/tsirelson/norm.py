@@ -124,14 +124,21 @@ a ``float`` in a float space, whatever the input type.
 Float spaces fill in floats, in the order of addition above, and take
 ``C_K(i)`` even where rounding puts some ``C_k(i)``, k < K, an ulp above it.
 Exact spaces fill in integers over one scale ``G = L * Q**(m-1)``: L is the
-common denominator of |x|, and Q that of theta_n over the weight indices
-that can be explored (those with ``theta_tail_sup(n) > 1/m``, since an
-explored n needs ``tail * l1 > best >= l1 / len``).  A tree over an interval
-of length len has depth at most len - 1 (a node has at least two pieces),
-so every value is an integer multiple of 1/G and a node's value
-``p * S // q`` is an exact division.  Values become
-``Fraction`` only at the interface; the cutoff certificate is computed in
-the space's own arithmetic.
+common denominator of |x|, and Q a common multiple of the denominators q of
+the weights that win a node.  A tree over an interval of length len has
+depth at most len - 1 (a node has at least two pieces), so while every
+winning q divides Q, every value is an integer multiple of 1/G and a node's
+value ``p * S // q`` is an exact division.  Which weights win is known only
+after the fill, so Q starts at the denominator of the first weight a loop
+explores (theta_1, or theta_2 in an A-ladder), and a winner whose q does
+not divide Q raises ``_Widen`` from ``_divide``; ``fill`` then starts the
+same fill afresh at ``Q = lcm(Q, q)``.  A comparison ``p * S > q * best``
+of exact values does not depend on the scale, and only a winner is
+divided, so a fill that ends is the one any wider Q gives: the same values,
+decisions, counters and ``max_n_explored``.  Weights that decay slowly can
+be explored far past the last that wins, and their denominators stay out
+of the scale.  Values become ``Fraction`` only at the interface; the cutoff
+certificate is computed in the space's own arithmetic.
 The weight loops read every weight through one table (``_Weights``):
 theta_n = p/q and its tail sup tp/tq, as integers in an exact space and
 with q = tq = 1.0 in a float space.  So one test ``p * ell > q * best``
@@ -335,11 +342,11 @@ class _Column:
 
 
 class _Weights(dict):
-    """n -> (tp, tq, p, q), filled on its first read: theta_tail_sup(n) =
-    tp/tq and theta_for_index(n) = p/q, integers in an exact space and with
-    tq = q = 1.0 in a float space (see Arithmetic above).  Past a zero tail
-    sup the weights are zero, and theta_for_index is not asked: a
-    single-family space has index 1 only."""
+    """n -> (tp, tq, p, q), filled on its first read and kept across the
+    restarts of a fill: theta_tail_sup(n) = tp/tq and theta_for_index(n) =
+    p/q, integers in an exact space and with tq = q = 1.0 in a float space
+    (see Arithmetic above).  Past a zero tail sup the weights are zero, and
+    theta_for_index is not asked: a single-family space has index 1 only."""
 
     def __init__(self, space: SpaceSpec):
         self.space = space
@@ -354,11 +361,18 @@ class _Weights(dict):
         return self[n]
 
 
-def _divide(value, q):
-    """A winning node value p * S divided by q (see Arithmetic above): an
-    exact division, which is checked, in an exact space; q = 1.0 in a
-    float space."""
+class _Widen(Exception):
+    """A winning weight's denominator q, its one argument, does not divide
+    the scale's Q."""
+
+
+def _divide(value, q, Q):
+    """A winning node value p * S divided by q (see Arithmetic above): in an
+    exact space a division, which is checked, when q divides the scale's Q,
+    else ``_Widen``; q = 1.0 in a float space."""
     if q != 1:
+        if Q % q:
+            raise _Widen(q)
         value, rem = divmod(value, q)
         if rem:
             raise ArithmeticError("node value is not a multiple of the scale")
@@ -367,9 +381,6 @@ def _divide(value, q):
 
 class _Engine:
     """Interval DP over the support of one vector in one space."""
-
-    # the largest weight index a loop explores, and 1 where none does
-    max_n_explored = 1
 
     def __init__(self, space: SpaceSpec, x: SparseVector):
         if not x:
@@ -385,19 +396,23 @@ class _Engine:
         self.m = len(self.coords)
         scalar = space.scalar
         self.abs_values = tuple(abs(scalar(v)) for v in self.values)
+        self._weights = _Weights(space)
 
     # -- set-up --------------------------------------------------------------
 
-    def _setup(self):
-        """Scale, prefix sums, the base level and the weight table."""
+    def _setup(self, Q):
+        """Scale, prefix sums, the base level and the counters of a fill
+        whose winning weights have denominators dividing Q."""
         space, m = self.space, self.m
-        self._weights = _Weights(space)
         self.stats = dict.fromkeys(STATS, 0)
+        # the largest weight index a loop explores, and 1 where none does
+        self.max_n_explored = 1
+        self._q = Q
         # the float margin of a carried bound (see Pruning above)
         self._widen = 1 if space.exact else 1.0 + 2.0**-20
         if space.exact:
             values = self.abs_values
-            self._scale = math.lcm(*(v.denominator for v in values)) * self._theta_lcd() ** (m - 1)
+            self._scale = math.lcm(*(v.denominator for v in values)) * Q ** (m - 1)
             absv = [v.numerator * (self._scale // v.denominator) for v in values]
             prefix = [0]
         else:
@@ -416,20 +431,6 @@ class _Engine:
         self._decisions = [[None] * (m + 1) for _ in range(m)]
         self._i, self._j = -1, 0  # the interval in progress
         self._top = 2  # the reach of the last A-ladder row fill
-
-    def _theta_lcd(self) -> int:
-        """Common denominator of theta_n over the weight indices that can be
-        explored: n with theta_tail_sup(n) > 1/m.  A rational space has
-        rational weights only: ``SpaceSpec`` refuses the others."""
-        lcd = 1
-        n = 2 if self.space.kind == A_TYPE else 1
-        while True:
-            tp, tq, _, q = self._weights[n]
-            if not tp * self.m > tq:
-                break
-            lcd = math.lcm(lcd, q)
-            n += 1
-        return lcd
 
     def _new_table(self, level: _Level):
         size = self.m + 1
@@ -471,8 +472,11 @@ class _Engine:
         return limits
 
     def _head(self, n: int) -> _Level:
-        """The chain of weight index n, met for the first time."""
-        head = self._heads[n] = self._level((self.space.family_for_index(n),))
+        """The chain of weight index n, met for the first time.  An S-type
+        or single-family space has these heads only, and past the support
+        size m index n takes the chain of index m: on m points S_n admits
+        the sets that S_m does (``families.is_member``)."""
+        head = self._heads[n] = self._level((self.space.family_for_index(min(n, self.m)),))
         if head is not self._base:
             self._need_table(head.inner)
             if head.carry is None:
@@ -534,7 +538,17 @@ class _Engine:
         return (rest, level.inner, rest)
 
     def fill(self):
-        self._setup()
+        # Q starts at the denominator of the first weight a loop explores
+        # and widens to that of each weight that wins (see Arithmetic above)
+        Q = self._weights[2 if self.space.kind == A_TYPE else 1][3]
+        while True:
+            try:
+                return self._fill(Q)
+            except _Widen as widen:
+                Q = math.lcm(Q, *widen.args)
+
+    def _fill(self, Q):
+        self._setup(Q)
         absv, prefix = self._absv, self._prefix
         decisions = self._decisions
         base = self._base
@@ -610,7 +624,7 @@ class _Engine:
                     head.carry[i] = cand[0]
                     value = p * cand[0]
                     if value > q * best:
-                        best = _divide(value, q)
+                        best = _divide(value, q, self._q)
                         decision = (n, cand[1], cand[2])
             n += 1
         return best, decision, explored, n
@@ -663,7 +677,7 @@ class _Engine:
                     split = c
                 value = p * c
                 if value > q * best:
-                    best = _divide(value, q)
+                    best = _divide(value, q, self._q)
                     decision = (n, base, split)
             n += 1
         return best, decision, explored, n
@@ -784,11 +798,11 @@ class _Engine:
 # the largest support the engine fills (``_Engine`` refuses a larger one
 # before any set-up); the fill grows as about m^4.  At 224 points, on a
 # flat vector (coordinates 1..224, all ones) and on
-# ``random_vector(first=1, gap=3)``, geometric-s:1/2 took 3.5 s and 4.5 s
-# (2.6 s and 5.0 s with an inner A_3) on a 2-vCPU Xeon.  Weights that
+# ``random_vector(first=1, gap=3)``, geometric-s:1/2 took 2.1 s and 2.3 s
+# (1.3 s and 3.0 s with an inner A_3) on a 2-vCPU Xeon.  Weights that
 # decay more slowly explore more levels and cost more per point:
-# geometric-s:9/10 took 6.0 s on both at 128 points, and 100 s and 116 s
-# at 224.
+# geometric-s:9/10 took 0.6 s and 0.7 s at 128 points, and 6.6 s and 6.7 s
+# at 224 (``scripts/scale_ab.py``).
 NORM_SUPPORT_BOUND = 224
 
 

@@ -1,5 +1,6 @@
 import os
 import random
+import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -94,6 +95,25 @@ def random_aux_functional(rng, coords):
     cuts = sorted(rng.sample(range(1, len(coords)), k - 1))
     pieces = [coords[a:b] for a, b in zip([0] + cuts, cuts + [len(coords)])]
     return t.Node(rng.randint(1, 2), tuple(random_aux_functional(rng, p) for p in pieces))
+
+
+# the most wall-clock seconds one test may take: a regression that makes a
+# loop run without end fails its test instead of hanging the suite
+TEST_SECONDS = 60
+
+
+@pytest.fixture(autouse=True)
+def wall_clock_guard():
+    def expire(signum, frame):
+        pytest.fail(f"the test ran past {TEST_SECONDS} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -283,42 +283,3 @@ class TestEqualNormPartition:
                 for j in [*range(1, len(z), 9), len(z)]:
                     linear = next((e for e in range(1, j) if not d(e, j) > d(0, e)), j - 1)
                     assert av._two_part_split(d, j) == linear, (z.entries, j)
-
-
-class TestC0Associate:
-    def test_single_leaf_parts(self):
-        x, const = av.c0_average_associate(
-            TSIRELSON, [t.Leaf(1, 3), t.Leaf(1, 4), t.Leaf(1, 5)]
-        )
-        assert x.entries == (
-            (3, Fraction(2, 3)),
-            (4, Fraction(2, 3)),
-            (5, Fraction(2, 3)),
-        )
-        assert const == 2
-
-    def test_single_part_constant_one(self):
-        x, const = av.c0_average_associate(TSIRELSON, [t.Leaf(1, 5)])
-        assert const == 1
-
-    def test_witness_parts_reach_duality_bound(self, rng):
-        # parts that norm indicator vectors achieve constant >= 1
-        for _ in range(15):
-            starts = sorted(rng.sample(range(3, 40), 2))
-            parts = []
-            ok = True
-            for s in starts:
-                size = rng.randint(1, 3)
-                x = t.SparseVector(tuple((s + 2 * i, Fraction(1)) for i in range(size)))
-                parts.append(norm(TSIRELSON, x).witness)
-            sups = [max(_support(p)) for p in parts]
-            if any(sups[i] >= min(_support(parts[i + 1])) for i in range(len(parts) - 1)):
-                continue
-            _, const = av.c0_average_associate(TSIRELSON, parts)
-            assert const >= 1
-
-
-def _support(f):
-    from tsirelson.functionals import support
-
-    return support(f)

@@ -32,6 +32,11 @@ TINY = "1\t1\n2\t-1e-400\n"  # nonzero as a rational, zero as a float
 LARGE = "1\t1e300\n"  # inside the float range
 # one point past the norm engine's support bound, from coordinate 1
 PAST_THE_ENGINE = "".join(f"{c}\t1\n" for c in range(1, NORM_SUPPORT_BOUND + 2))
+# three successive 80-point blocks, files {block0} .. {block2}: each fits
+# the engine, their sum does not
+BLOCKS = {
+    f"{{block{k}}}": "".join(f"{c}\t1\n" for c in range(80 * k + 1, 80 * k + 81)) for k in range(3)
+}
 # an auxiliary S-space with an inner A_3, for ``split``
 XK_CONFIG = "kind = S\ntheta = geometric:1/2\ninner_ak = 3\n"
 
@@ -65,6 +70,10 @@ ONCE_UNBOUNDED = {
     "domination-past-the-support-bound": (
         PAST_THE_ENGINE,
         ["audit", "domination", "--space", "tsirelson", "--ys", "{vec}", "--zs", "{vec}"],
+    ),
+    "domination-blocks-past-the-support-bound": (
+        BLOCKS,
+        ["audit", "domination", "--space", "geometric-s:9/10", "--ys", *BLOCKS, "--zs", *BLOCKS],
     ),
     "tav-root-past-the-support-bound": (
         None, ["audit", "tav", "--levels", "2", "--relaxed", "120"]
@@ -201,9 +210,11 @@ def argv_of(case, tmp_path):
     text, argv = case
     files = {"{cfg}": tmp_path / "xk.cfg"}
     files["{cfg}"].write_text(XK_CONFIG)
-    if text is not None:
-        files["{vec}"] = tmp_path / "x.vec"
-        files["{vec}"].write_text(text)
+    texts = text if isinstance(text, dict) else {"{vec}": text}
+    for key, body in texts.items():
+        if body is not None:
+            files[key] = tmp_path / f"{key[1:-1]}.vec"
+            files[key].write_text(body)
     return [str(files[a]) if a in files else a for a in argv]
 
 
@@ -242,6 +253,20 @@ def run_in_a_child(argv, timeout):
         env=child_env(),
         timeout=timeout,
     )
+
+
+# slowly decaying weights on three unit points: with a scale over every
+# weight that could be explored, the first ran past 20 s and the second
+# took about a second
+SLOW_WEIGHTS = ("geometric-a:9999/10000", "geometric-s:999/1000")
+
+
+@pytest.mark.parametrize("space", SLOW_WEIGHTS)
+def test_slow_weights_on_three_points(space, tmp_path):
+    argv = argv_of(("1\t1\n2\t1\n3\t1\n", ["norm", "--space", space, "--vector", "{vec}"]), tmp_path)
+    proc = run_in_a_child(argv, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_no_traceback_from_a_process(tmp_path):

@@ -27,6 +27,7 @@ from test_norm_golden import golden_spaces
 TSIRELSON = t.preset("tsirelson")
 GEOM_S = t.preset("geometric-s:1/2")
 GEOM_S_SLOW = t.preset("geometric-s:9/10")
+GEOM_S_SLOWER = t.preset("geometric-s:99/100")
 SCHLUMPRECHT = t.preset("schlumprecht")
 C0_A2 = t.SpaceSpec("single", single_family=t.An(2), single_theta=Fraction(1, 2))
 # an exact weight with denominator 1: node values need no division
@@ -99,7 +100,7 @@ class TestAdmissibleSum:
 
     def test_equal_chains_share_one_level(self):
         engine = _Engine(TSIRELSON, self.X)
-        engine._setup()
+        engine._setup(1)
         levels = [engine._level((t.parse_family(text),)) for text in self.SAME_CHAIN]
         assert levels[0] is levels[1] is levels[2]
         assert engine._level((t.Sn(2), t.Sn(1))) is levels[0]
@@ -138,7 +139,18 @@ class TestWitness:
 
 class TestOracle:
     @pytest.mark.parametrize(
-        "spec", [TSIRELSON, GEOM_S, GEOM_S_SLOW, C0_A2, S1_FULL], ids=lambda s: s.name or "c0"
+        "spec",
+        [
+            TSIRELSON,
+            GEOM_S,
+            GEOM_S_SLOW,
+            GEOM_S_SLOWER,
+            t.preset("geometric-a:9/10"),
+            t.preset("geometric-a:99/100"),
+            C0_A2,
+            S1_FULL,
+        ],
+        ids=lambda s: s.name or "c0",
     )
     def test_exact_agreement(self, spec, rng):
         for _ in range(30):
@@ -537,7 +549,7 @@ class TestFastLimits:
     @staticmethod
     def _fast(spec, x, family):
         engine = _Engine(spec, x)
-        engine._setup()
+        engine._setup(1)
         return engine._level((family,)).fast
 
     @pytest.mark.parametrize("text", STACKS)
@@ -667,10 +679,11 @@ class TestWorkCounters:
             with pytest.raises(AssertionError, match="chain machinery"):
                 engine.fill()
 
-    @pytest.mark.parametrize("label, m", [("schlumprecht", 44), ("geometric-s:1/2", 40)])
+    @pytest.mark.parametrize("label, m", [("schlumprecht", 44), ("geometric-s:1/2", 40), ("geometric-a:9/10", 12)])
     def test_each_weight_is_computed_once(self, label, m, monkeypatch):
         # the weight loops, the scale and the cutoff certificate read the
-        # weights through one table
+        # weights through one table, also across the restarts of a fill
+        # (geometric-a:9/10 restarts once)
         spec = _spec(label)
         x = _large_vector(label, m, exact=spec.exact)
         calls = collections.Counter()
@@ -683,6 +696,59 @@ class TestWorkCounters:
             monkeypatch.setattr(t.SpaceSpec, name, counted)
         _Engine(spec, x).fill()
         assert calls and max(calls.values()) == 1, calls
+
+
+class TestScale:
+    """An exact fill's scale ``G = L * Q**(m-1)`` takes Q from the weights
+    that win a node: it starts at the denominator of the first weight a
+    loop explores and restarts the fill over a wider Q when a winner's
+    denominator does not divide it."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        setup, qs = _Engine._setup, []
+
+        def recording(engine, Q):
+            qs.append(Q)
+            return setup(engine, Q)
+
+        monkeypatch.setattr(_Engine, "_setup", recording)
+        return qs
+
+    def test_slow_weights_keep_a_narrow_scale(self, monkeypatch):
+        # only theta_1 wins here (max_n_explored is 2); a Q over every index
+        # that could be explored, theta_tail_sup(n) * m > 1 up to n = 39,
+        # gave this vector a scale of 8,168 bits
+        qs = self._recording(monkeypatch)
+        engine = _Engine(GEOM_S_SLOW, random_vector(random.Random(1), 64, first=1, gap=3))
+        engine.fill()
+        assert qs == [10]
+        assert engine._scale.bit_length() <= 300
+
+    def test_a_restart_repeats_a_fill_started_at_its_final_scale(self, monkeypatch):
+        spec = t.preset("geometric-a:9/10")
+        x = random_vector(random.Random("restart"), 12, first=1, gap=3)
+        qs = self._recording(monkeypatch)
+        engine = _Engine(spec, x)
+        engine.fill()
+        assert qs == [100, 1000]
+        again = _Engine(spec, x)
+        again._fill(qs[-1])
+        assert again.stats == engine.stats and again._scale == engine._scale
+        assert again.max_n_explored == engine.max_n_explored >= 3
+        assert again.value(0, 12) == engine.value(0, 12) == norm(spec, x).value
+        assert t.format_functional(again.witness(0, 12)) == t.format_functional(engine.witness(0, 12))
+
+    def test_heads_past_the_support_share_one_chain(self):
+        # on coordinates 1..3 no S_n admits two pieces from coordinate 1,
+        # so the loop explores every n to about 690: the heads past n = 3
+        # take the chain of S_3
+        x = t.SparseVector(((1, Fraction(1)), (2, Fraction(1)), (3, Fraction(1))))
+        engine = _Engine(t.preset("geometric-s:999/1000"), x)
+        engine.fill()
+        assert engine.max_n_explored > 600
+        assert max(map(len, engine._levels)) == 3
+        assert engine.value(0, 3) == Fraction(999, 500)
 
 
 BOUND_SPACES = ("tsirelson", "geometric-s:1/2", "geometric-s:1/2+A3", "geometric-s:2/3+A3", "geometric-s:9/10", "ellp:2")
